@@ -222,15 +222,7 @@ void Collector::finalize_epoch(std::uint64_t epoch) {
     std::unordered_map<FiveTuple, std::size_t> fused;
     for (const auto& [site_id, report] : it->second) {
       (void)site_id;
-      merged.totals.bytes += report.totals.bytes;
-      merged.totals.packets += report.totals.packets;
-      merged.pressure += report.pressure;
-      merged.volume_b = std::max(merged.volume_b, report.volume_b);
-      merged.size_b = std::max(merged.size_b, report.size_b);
-      merged.volume_error_unit =
-          std::max(merged.volume_error_unit, report.volume_error_unit);
-      merged.size_error_unit =
-          std::max(merged.size_error_unit, report.size_error_unit);
+      merged.merge_summary(report);
       for (const FlowEstimate& flow : report.flows) {
         auto [pos, inserted] = fused.try_emplace(flow.flow,
                                                  merged.flows.size());
@@ -242,6 +234,7 @@ void Collector::finalize_epoch(std::uint64_t epoch) {
         }
       }
     }
+    // Sites overlap, so the flow count is the fused key count, not the sum.
     merged.totals.flows = merged.flows.size();
     for (const auto& subscriber : subscribers_) subscriber(merged);
   }

@@ -69,13 +69,11 @@ FlowMonitor::FlowMonitor(const Config& config)
       last_seen_ns_(config.max_flows, 0),
       rng_(config.seed),
       pressure_rng_(config.seed ^ kPressureSeedSalt) {
-  if (config.decision_table) {
-    // Transcendental-free update fast path; decisions stay bit-identical,
-    // and the process-wide table cache de-duplicates across shards.
-    // (CounterBank makes this a no-op for the additive estimator.)
-    volume_.attach_decision_table();
-    size_.attach_decision_table();
-  }
+  // Transcendental-free update fast path; decisions stay bit-identical,
+  // and the process-wide table cache de-duplicates across shards.
+  // (CounterBank makes this a no-op for the additive estimator.)
+  volume_.attach_decision_table();
+  size_.attach_decision_table();
   if (config.hugepages) {
     // Advisory only: the arrays are already allocated, and khugepaged
     // collapses the ranges in the background where THP is enabled.

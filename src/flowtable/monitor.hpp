@@ -14,6 +14,7 @@
 //   auto heavy = monitor.top_k(10);             // heaviest flows by bytes
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -41,15 +42,9 @@ class FlowMonitor {
     std::uint64_t max_flow_bytes = std::uint64_t{1} << 32;
     std::uint64_t max_flow_packets = std::uint64_t{1} << 24;
     std::uint64_t seed = 0x5eed;
-    /// Attach core::DecisionTable fast paths to the volume and size
-    /// counters (transcendental-free updates, bit-identical decisions --
-    /// see src/core/decision_table.hpp).  Purely a performance knob: the
-    /// estimate and RNG streams are unchanged either way, so it is not
-    /// persisted by snapshot()/restore().
-    bool decision_table = true;
     /// Registry prefix for this monitor's metrics (docs/telemetry.md).
-    /// Instances sharing a prefix share counters; ShardedFlowMonitor gives
-    /// each shard its own.  Not persisted by snapshot()/restore().
+    /// Instances sharing a prefix share counters; PipelineMonitor gives
+    /// each worker its own.  Not persisted by snapshot()/restore().
     std::string telemetry_prefix = "flow_monitor";
     /// What to do when the flow table fills or a counter would overflow
     /// (flowtable/pressure.hpp, docs/robustness.md).  The default -- reject
@@ -135,6 +130,12 @@ class FlowMonitor {
     double bytes = 0.0;
     double packets = 0.0;
     std::size_t flows = 0;
+    Totals& operator+=(const Totals& o) noexcept {
+      bytes += o.bytes;
+      packets += o.packets;
+      flows += o.flows;
+      return *this;
+    }
   };
   [[nodiscard]] Totals totals() const;
 
@@ -145,6 +146,12 @@ class FlowMonitor {
     std::size_t flow_table_bits = 0;
     [[nodiscard]] std::size_t total() const noexcept {
       return volume_counter_bits + size_counter_bits + flow_table_bits;
+    }
+    MemoryReport& operator+=(const MemoryReport& o) noexcept {
+      volume_counter_bits += o.volume_counter_bits;
+      size_counter_bits += o.size_counter_bits;
+      flow_table_bits += o.flow_table_bits;
+      return *this;
     }
   };
   [[nodiscard]] MemoryReport memory() const;
@@ -171,18 +178,34 @@ class FlowMonitor {
     /// consumers attach Theorem 2 confidence intervals to the estimates via
     /// core::DiscoParams(b).interval_for_estimate(...) -- the modules layer
     /// (src/modules, docs/modules.md) does exactly this.  Merged reports
-    /// (sharded / pipeline rotate) carry the max across shards, so derived
-    /// intervals are conservative for every member flow.
+    /// carry the max over their parts (merge_summary), so derived intervals
+    /// are conservative for every member flow.
     double volume_b = 0.0;
     double size_b = 0.0;
     /// Additive-error mode only (Config.estimator == AdditiveError): the
     /// counting grid 2^s of each array when the report was produced -- the
     /// `unit` of core::theory::additive_error_sd.  0.0 under DISCO
     /// estimators (whose error is multiplicative, carried by volume_b /
-    /// size_b).  Merged reports carry the max across shards, like the
+    /// size_b).  Merged reports carry the max over their parts, like the
     /// bases.
     double volume_error_unit = 0.0;
     double size_error_unit = 0.0;
+
+    /// The one merge policy for epoch-level fields, shared by the pipeline's
+    /// worker fan-in and the collector's site fan-in: totals and pressure
+    /// are summed; the bases and error units take the max, because RescaleB
+    /// (and additive scale-ups) diverge them per part and the max keeps
+    /// every derived interval conservative.  `flows` is left to the caller:
+    /// pipeline shards are disjoint and concatenate, collector sites
+    /// overlap and fuse by key.
+    void merge_summary(const EpochReport& part) noexcept {
+      totals += part.totals;
+      pressure += part.pressure;
+      volume_b = std::max(volume_b, part.volume_b);
+      size_b = std::max(size_b, part.size_b);
+      volume_error_unit = std::max(volume_error_unit, part.volume_error_unit);
+      size_error_unit = std::max(size_error_unit, part.size_error_unit);
+    }
   };
   EpochReport rotate();
 

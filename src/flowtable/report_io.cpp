@@ -168,21 +168,9 @@ void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report)
 
 FlowMonitor::EpochReport combine_reports(const FlowMonitor::EpochReport& a,
                                          const FlowMonitor::EpochReport& b) {
-  FlowMonitor::EpochReport merged;
-  merged.epoch = a.epoch;
-  merged.flows = a.flows;
+  FlowMonitor::EpochReport merged = a;
   merged.flows.insert(merged.flows.end(), b.flows.begin(), b.flows.end());
-  merged.totals.bytes = a.totals.bytes + b.totals.bytes;
-  merged.totals.packets = a.totals.packets + b.totals.packets;
-  merged.totals.flows = a.totals.flows + b.totals.flows;
-  merged.pressure = a.pressure;
-  merged.pressure += b.pressure;
-  // Error metadata merges like the sharded rotate: max across contributors,
-  // keeping any interval derived from the combined report conservative.
-  merged.volume_b = std::max(a.volume_b, b.volume_b);
-  merged.size_b = std::max(a.size_b, b.size_b);
-  merged.volume_error_unit = std::max(a.volume_error_unit, b.volume_error_unit);
-  merged.size_error_unit = std::max(a.size_error_unit, b.size_error_unit);
+  merged.merge_summary(b);
   return merged;
 }
 

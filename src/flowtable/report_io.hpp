@@ -83,8 +83,8 @@ class ReportReader {
 /// protocol,bytes,packets" per flow.
 void write_report_csv(std::ostream& out, const FlowMonitor::EpochReport& report);
 
-/// Collector-side aggregation: sums the totals and concatenates the flow
-/// records of two reports (same-key flows from different appliances appear
+/// Collector-side aggregation: concatenates the flow records of two reports
+/// and merges the rest with EpochReport::merge_summary (same-key flows from different appliances appear
 /// as separate records; key-level fusion is the collector's policy choice
 /// -- collect::Collector implements it with per-key accumulators).
 [[nodiscard]] FlowMonitor::EpochReport combine_reports(

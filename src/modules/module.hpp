@@ -4,7 +4,7 @@
 // production user wants is *answers* -- top ports, per-application
 // breakdowns, scan alarms, hierarchical heavy hitters.  An AnalysisModule
 // is a streaming consumer of epoch reports: it subscribes (via ModuleHost,
-// host.hpp) to rotate() on any of the three monitors, keeps its own state
+// host.hpp) to rotate() on either monitor, keeps its own state
 // across epochs, and exports its current answer as text and JSON.
 //
 // One ingest pipeline, many concurrent questions: every module attached to

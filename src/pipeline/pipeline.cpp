@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "telemetry/registry.hpp"
@@ -9,40 +10,32 @@
 
 namespace disco::pipeline {
 
-// A synchronous control-plane message.  The caller allocates it on its own
+// A synchronous control-plane message.  The caller builds it on its own
 // stack, pushes a pointer through the worker's command ring, and waits; the
-// worker fills the result fields and signals.  Commands are serialised by
-// control_mutex_, so at most one is in flight per worker.
+// worker runs the borrowed callable on its FlowMonitor and signals.
+// Commands are serialised by control_mutex_, so at most one is in flight
+// per worker, and the callable may write straight into the caller's frame:
+// the cv handshake orders those writes before the caller reads them.
 struct PipelineMonitor::Command {
-  enum class Op {
-    Rotate,
-    Totals,
-    Query,
-    TopK,
-    Memory,
-    PacketsSeen,
-    Pressure,
-    EvictIdle,
-    Drain,
-    Stop,
-  };
+  /// What the worker does around the callable.  Every kind first flushes
+  /// the coalescer's open bursts so the monitor sees recent packets; Drain
+  /// and Stop also absorb everything already queued in the packet rings,
+  /// and Stop then ends the worker loop.
+  enum class Kind : std::uint8_t { Run, Drain, Stop };
 
-  explicit Command(Op operation) : op(operation) {}
+  explicit Command(Kind k) : kind(k) {}
+  /// Borrows `fn` (no heap, no copy): it must outlive the command, which it
+  /// does because the caller waits for completion before returning.
+  template <typename Fn>
+  explicit Command(const Fn& fn)
+      : call([](const void* target, flowtable::FlowMonitor& monitor) {
+          (*static_cast<const Fn*>(target))(monitor);
+        }),
+        callable(&fn) {}
 
-  Op op;
-  // Inputs.
-  FiveTuple flow{};
-  std::size_t k = 0;
-  std::uint64_t now_ns = 0;
-  std::uint64_t idle_timeout_ns = 0;
-  // Outputs (which fields are filled depends on op).
-  EpochReport report;
-  Totals totals;
-  std::optional<FlowEstimate> estimate;
-  std::vector<FlowEstimate> flows;
-  MemoryReport memory;
-  std::uint64_t count = 0;
-  PressureStats pressure{};
+  Kind kind = Kind::Run;
+  void (*call)(const void* target, flowtable::FlowMonitor& monitor) = nullptr;
+  const void* callable = nullptr;
   // Completion handshake.  Deliberately a plain std::mutex, not the
   // annotated util::Mutex: the condition-variable wait needs the std type,
   // and Thread Safety Analysis cannot model a cv handshake anyway.  The pair
@@ -89,6 +82,11 @@ struct PipelineMonitor::Worker {
   /// tables stay hot across the whole batch.  Emission order is preserved,
   /// so the RNG stream is identical to per-burst ingest.
   std::vector<flowtable::FlowBurst> bursts;
+  /// Pop buffer for the packet rings, shared by the worker loop and the
+  /// Drain/Stop ring absorb (never live across a command), so neither the
+  /// steady state nor a command allocates.  Sized by the worker thread
+  /// itself, so it lives in that thread's malloc arena.
+  std::vector<Message> batch;
   std::vector<std::unique_ptr<SpscRing<Message>>> rings;
   bool stop_requested = false;         ///< worker-thread-local exit flag
   std::uint64_t merged_reported = 0;   ///< coalescer.merged() already exported
@@ -119,8 +117,9 @@ inline void backoff(unsigned& spins) noexcept {
 flowtable::FlowMonitor::Config PipelineMonitor::shard_config(
     const Config& config, unsigned worker) {
   flowtable::FlowMonitor::Config shard = config.base;
-  // Same capacity split as ShardedFlowMonitor: per-shard share plus 25%
-  // headroom, because hashing is not perfectly balanced.
+  // Per-shard share plus 25% headroom, because hashing is not perfectly
+  // balanced and a shard rejecting flows while siblings have room would be
+  // a silent capacity loss.
   shard.max_flows = std::max<std::size_t>(
       16, (config.base.max_flows / config.workers) * 5 / 4);
   shard.seed = config.base.seed + 0x9e3779b97f4a7c15ULL * (worker + 1);
@@ -325,62 +324,29 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
     (void)worker.monitor.ingest_burst(burst.flow, burst.bytes, burst.packets,
                                       burst.last_ns);
   };
-  // Drain and Stop first absorb everything already queued; every other op
-  // only needs the buffered bursts applied so reports see recent packets.
-  if (command.op == Command::Op::Drain || command.op == Command::Op::Stop) {
-    std::vector<Message> batch(config_.pop_batch);
+  if (command.kind != Command::Kind::Run) {
     bool again = true;
     while (again) {
       again = false;
       for (unsigned p = 0; p < producers_; ++p) {
         const std::size_t n =
-            worker.rings[p]->pop_batch(batch.data(), batch.size());
+            worker.rings[p]->pop_batch(worker.batch.data(), worker.batch.size());
         if (n > 0) {
-          process_batch(worker, batch.data(), n);
+          process_batch(worker, worker.batch.data(), n);
           again = true;
         }
       }
     }
   }
   worker.coalescer.flush(apply);
-
-  switch (command.op) {
-    case Command::Op::Rotate:
-      command.report = worker.monitor.rotate();
-      break;
-    case Command::Op::Totals:
-      command.totals = worker.monitor.totals();
-      break;
-    case Command::Op::Query:
-      command.estimate = worker.monitor.query(command.flow);
-      break;
-    case Command::Op::TopK:
-      command.flows = worker.monitor.top_k(command.k);
-      break;
-    case Command::Op::Memory:
-      command.memory = worker.monitor.memory();
-      break;
-    case Command::Op::PacketsSeen:
-      command.count = worker.monitor.packets_seen();
-      break;
-    case Command::Op::Pressure:
-      command.pressure = worker.monitor.pressure();
-      break;
-    case Command::Op::EvictIdle:
-      command.flows =
-          worker.monitor.evict_idle(command.now_ns, command.idle_timeout_ns);
-      break;
-    case Command::Op::Drain:
-      break;
-    case Command::Op::Stop:
-      worker.stop_requested = true;
-      break;
-  }
+  if (command.call != nullptr) command.call(command.callable, worker.monitor);
+  if (command.kind == Command::Kind::Stop) worker.stop_requested = true;
   command.signal();
 }
 
 void PipelineMonitor::worker_loop(Worker& worker) {
-  std::vector<Message> batch(config_.pop_batch);
+  std::vector<Message>& batch = worker.batch;
+  batch.resize(config_.pop_batch);
   SpscRing<Message>& command_ring = *worker.rings[producers_];
   auto apply = [&worker](const BurstUpdate& burst) {
     (void)worker.monitor.ingest_burst(burst.flow, burst.bytes, burst.packets,
@@ -441,6 +407,17 @@ void PipelineMonitor::run_on_worker(unsigned w, Command& command) {
   command.wait();
 }
 
+template <typename Ask, typename Fold>
+void PipelineMonitor::for_each_worker(const Ask& ask, const Fold& fold) {
+  for (unsigned w = 0; w < workers_.size(); ++w) {
+    std::invoke_result_t<const Ask&, flowtable::FlowMonitor&> answer{};
+    auto run = [&](flowtable::FlowMonitor& monitor) { answer = ask(monitor); };
+    Command command(run);
+    run_on_worker(w, command);
+    fold(answer);
+  }
+}
+
 void PipelineMonitor::subscribe(
     flowtable::FlowMonitor::EpochSubscriber subscriber) {
   if (!subscriber) return;
@@ -451,30 +428,14 @@ void PipelineMonitor::subscribe(
 PipelineMonitor::EpochReport PipelineMonitor::rotate() {
   const util::MutexLock lock(control_mutex_);
   EpochReport merged;
-  bool first = true;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Rotate);
-    run_on_worker(w, command);
-    if (first) {
-      merged.epoch = command.report.epoch;
-      first = false;
-    }
-    merged.flows.insert(merged.flows.end(), command.report.flows.begin(),
-                        command.report.flows.end());
-    merged.totals.bytes += command.report.totals.bytes;
-    merged.totals.packets += command.report.totals.packets;
-    merged.totals.flows += command.report.totals.flows;
-    merged.pressure += command.report.pressure;
-    // Max across shards: RescaleB may diverge per-shard bases (and the
-    // additive estimator its per-shard error units), and the max keeps
-    // merged-report confidence intervals conservative.
-    merged.volume_b = std::max(merged.volume_b, command.report.volume_b);
-    merged.size_b = std::max(merged.size_b, command.report.size_b);
-    merged.volume_error_unit =
-        std::max(merged.volume_error_unit, command.report.volume_error_unit);
-    merged.size_error_unit =
-        std::max(merged.size_error_unit, command.report.size_error_unit);
-  }
+  for_each_worker([](flowtable::FlowMonitor& m) { return m.rotate(); },
+                  [&merged](const EpochReport& part) {
+                    merged.epoch = part.epoch;  // shards rotate in lockstep
+                    // Shards hold disjoint flows, so their reports concatenate.
+                    merged.flows.insert(merged.flows.end(), part.flows.begin(),
+                                        part.flows.end());
+                    merged.merge_summary(part);
+                  });
   // Subscribers run on the rotating (control-plane) thread while ingest
   // continues on the workers; module work never stalls the packet path.
   for (const auto& subscriber : subscribers_) subscriber(merged);
@@ -483,46 +444,37 @@ PipelineMonitor::EpochReport PipelineMonitor::rotate() {
 
 PipelineMonitor::PressureStats PipelineMonitor::pressure() {
   const util::MutexLock lock(control_mutex_);
-  PressureStats aggregate;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Pressure);
-    run_on_worker(w, command);
-    aggregate += command.pressure;
-  }
-  return aggregate;
+  PressureStats sum;
+  for_each_worker([](const flowtable::FlowMonitor& m) { return m.pressure(); },
+                  [&sum](const PressureStats& part) { sum += part; });
+  return sum;
 }
 
 PipelineMonitor::Totals PipelineMonitor::totals() {
   const util::MutexLock lock(control_mutex_);
-  Totals aggregate;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Totals);
-    run_on_worker(w, command);
-    aggregate.bytes += command.totals.bytes;
-    aggregate.packets += command.totals.packets;
-    aggregate.flows += command.totals.flows;
-  }
-  return aggregate;
+  Totals sum;
+  for_each_worker([](const flowtable::FlowMonitor& m) { return m.totals(); },
+                  [&sum](const Totals& part) { sum += part; });
+  return sum;
 }
 
 std::optional<PipelineMonitor::FlowEstimate> PipelineMonitor::query(
     const FiveTuple& flow) {
   const util::MutexLock lock(control_mutex_);
-  Command command(Command::Op::Query);
-  command.flow = flow;
+  std::optional<FlowEstimate> estimate;
+  auto lookup = [&](const flowtable::FlowMonitor& m) { estimate = m.query(flow); };
+  Command command(lookup);
   run_on_worker(worker_of(flow, static_cast<unsigned>(workers_.size())), command);
-  return command.estimate;
+  return estimate;
 }
 
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k) {
   const util::MutexLock lock(control_mutex_);
   std::vector<FlowEstimate> all;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::TopK);
-    command.k = k;
-    run_on_worker(w, command);
-    all.insert(all.end(), command.flows.begin(), command.flows.end());
-  }
+  for_each_worker([k](const flowtable::FlowMonitor& m) { return m.top_k(k); },
+                  [&all](const std::vector<FlowEstimate>& part) {
+                    all.insert(all.end(), part.begin(), part.end());
+                  });
   const std::size_t take = std::min(k, all.size());
   std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(take),
                     all.end(), [](const FlowEstimate& a, const FlowEstimate& b) {
@@ -534,46 +486,38 @@ std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k)
 
 PipelineMonitor::MemoryReport PipelineMonitor::memory() {
   const util::MutexLock lock(control_mutex_);
-  MemoryReport aggregate;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Memory);
-    run_on_worker(w, command);
-    aggregate.volume_counter_bits += command.memory.volume_counter_bits;
-    aggregate.size_counter_bits += command.memory.size_counter_bits;
-    aggregate.flow_table_bits += command.memory.flow_table_bits;
-  }
-  return aggregate;
+  MemoryReport sum;
+  for_each_worker([](const flowtable::FlowMonitor& m) { return m.memory(); },
+                  [&sum](const MemoryReport& part) { sum += part; });
+  return sum;
 }
 
 std::uint64_t PipelineMonitor::packets_seen() {
   const util::MutexLock lock(control_mutex_);
-  std::uint64_t total = 0;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::PacketsSeen);
-    run_on_worker(w, command);
-    total += command.count;
-  }
-  return total;
+  std::uint64_t sum = 0;
+  for_each_worker([](const flowtable::FlowMonitor& m) { return m.packets_seen(); },
+                  [&sum](std::uint64_t part) { sum += part; });
+  return sum;
 }
 
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::evict_idle(
     std::uint64_t now_ns, std::uint64_t idle_timeout_ns) {
   const util::MutexLock lock(control_mutex_);
-  std::vector<FlowEstimate> merged;
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::EvictIdle);
-    command.now_ns = now_ns;
-    command.idle_timeout_ns = idle_timeout_ns;
-    run_on_worker(w, command);
-    merged.insert(merged.end(), command.flows.begin(), command.flows.end());
-  }
-  return merged;
+  std::vector<FlowEstimate> evicted;
+  for_each_worker(
+      [now_ns, idle_timeout_ns](flowtable::FlowMonitor& m) {
+        return m.evict_idle(now_ns, idle_timeout_ns);
+      },
+      [&evicted](const std::vector<FlowEstimate>& part) {
+        evicted.insert(evicted.end(), part.begin(), part.end());
+      });
+  return evicted;
 }
 
 void PipelineMonitor::drain() {
   const util::MutexLock lock(control_mutex_);
   for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Drain);
+    Command command(Command::Kind::Drain);
     run_on_worker(w, command);
   }
 }
@@ -583,7 +527,7 @@ void PipelineMonitor::stop() {
   if (!running_) return;
   accepting_.store(false, std::memory_order_release);
   for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Op::Stop);
+    Command command(Command::Kind::Stop);
     run_on_worker(w, command);
   }
   for (std::thread& thread : threads_) thread.join();

@@ -13,8 +13,9 @@
 //   worker's ring                        apply DISCO updates to the shard
 //
 //   * Routing uses the hash's HIGH bits (the flow table probes with the low
-//     bits), exactly like ShardedFlowMonitor, so a flow's estimates are
-//     identical to a single FlowMonitor fed that shard's packet sequence.
+//     bits), so shard choice and in-table placement stay decorrelated, and
+//     a flow's estimates are identical to a single FlowMonitor fed that
+//     shard's packet sequence.
 //   * Rings are per (producer, worker) pair, so every ring has one writer
 //     and one reader -- the SPSC invariant -- the same way NIC RSS gives
 //     each (rx-queue, core) pair its own descriptor ring.
@@ -22,15 +23,17 @@
 //     ...) travel as in-band command messages through a dedicated per-worker
 //     command ring and execute ON the worker thread, between batches.
 //     Rotation and top-k therefore never stop ingest and never touch a
-//     shard from outside -- the shard has exactly one thread, ever.
+//     shard from outside -- the shard has exactly one thread, ever.  Each
+//     operation is one callable run on every worker's FlowMonitor in turn
+//     (for_each_worker), whose answers the caller folds into the result.
 //   * Backpressure is explicit: a full ring either drops the packet
 //     (`Backpressure::Drop`, counted) or spins the producer until space
 //     frees (`Backpressure::Block`) -- the two policies of a real NIC queue.
 //
-// Epoch semantics match ShardedFlowMonitor: a rotate is applied per shard
-// between batches, so packets in flight land in either the old or the new
-// epoch of their shard -- the standard epoch-boundary trade of distributed
-// monitors.  Every *accepted* packet is counted in exactly one epoch.
+// Epoch semantics: a rotate is applied per shard between batches, so
+// packets in flight land in either the old or the new epoch of their shard
+// -- the standard epoch-boundary trade of distributed monitors.  Every
+// *accepted* packet is counted in exactly one epoch.
 //
 // Telemetry (docs/telemetry.md): per-worker ring occupancy gauges and
 // pop-batch histograms, coalesce/command counters, and producer-side
@@ -188,7 +191,7 @@ class PipelineMonitor {
   [[nodiscard]] std::uint64_t coalesced() const noexcept;
 
   /// The worker/shard that owns `flow`: top 32 hash bits modulo `workers`
-  /// (the flow table consumes the low bits), as in ShardedFlowMonitor.
+  /// (the flow table consumes the low bits).
   [[nodiscard]] static unsigned worker_of(const FiveTuple& flow,
                                           unsigned workers) noexcept {
     return static_cast<unsigned>((hash_tuple(flow) >> 32) % workers);
@@ -225,6 +228,13 @@ class PipelineMonitor {
   /// Sends `command` to worker `w`'s command ring and waits for completion;
   /// runs it inline when the workers are stopped.
   void run_on_worker(unsigned w, Command& command) DISCO_REQUIRES(control_mutex_);
+  /// The control-plane fan-out, one worker after another: `ask(FlowMonitor&)`
+  /// runs on the worker's own thread against its shard, and its answer is
+  /// handed to `fold` on the calling thread, so every merge happens where
+  /// the caller's result lives.  Defined in pipeline.cpp, its only user.
+  template <typename Ask, typename Fold>
+  void for_each_worker(const Ask& ask, const Fold& fold)
+      DISCO_REQUIRES(control_mutex_);
 
   Config config_;
   unsigned producers_ = 1;

@@ -2,8 +2,7 @@
 //
 // The concurrency invariants of this repo -- "Registry's maps are only
 // touched under mutex_", "run_on_worker is only called while control_mutex_
-// serialises the control plane", "a Shard's monitor is only reached through
-// its mutex" -- were previously enforced by convention, TSan runs, and code
+// serialises the control plane" -- were previously enforced by convention, TSan runs, and code
 // review.  These macros make them part of the type system: building with
 //
 //     cmake -B build-analyze -S . -DDISCO_ANALYZE=ON -DCMAKE_CXX_COMPILER=clang++
@@ -54,9 +53,6 @@
 #define DISCO_ACQUIRE(...)            DISCO_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 /// Function releases the capability.
 #define DISCO_RELEASE(...)            DISCO_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-/// Function acquires the capability iff it returns `result`.
-#define DISCO_TRY_ACQUIRE(result, ...) \
-  DISCO_THREAD_ANNOTATION(try_acquire_capability(result, __VA_ARGS__))
 /// Function returns a reference to the capability guarding something.
 #define DISCO_RETURN_CAPABILITY(mu)   DISCO_THREAD_ANNOTATION(lock_returned(mu))
 /// Escape hatch; every use must carry a justification comment.
@@ -79,9 +75,6 @@ class DISCO_CAPABILITY("mutex") Mutex {
 
   void lock() DISCO_ACQUIRE() { mutex_.lock(); }
   void unlock() DISCO_RELEASE() { mutex_.unlock(); }
-  [[nodiscard]] bool try_lock() DISCO_TRY_ACQUIRE(true) {
-    return mutex_.try_lock();
-  }
 
   [[nodiscard]] std::mutex& native() noexcept { return mutex_; }
 
@@ -94,19 +87,6 @@ class DISCO_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) DISCO_ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
-  }
-
-  /// Contention-visible acquire: tries first and reports whether the lock
-  /// was already held (ShardedFlowMonitor's try-lock-then-lock idiom, which
-  /// counts cross-thread contention without slowing the uncontended path).
-  MutexLock(Mutex& mutex, bool& contended) DISCO_ACQUIRE(mutex)
-      : mutex_(mutex) {
-    if (mutex_.try_lock()) {
-      contended = false;
-    } else {
-      contended = true;
-      mutex_.lock();
-    }
   }
 
   ~MutexLock() DISCO_RELEASE() { mutex_.unlock(); }

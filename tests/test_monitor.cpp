@@ -153,30 +153,5 @@ TEST(FlowMonitor, IngestBatchMatchesSequentialBursts) {
   EXPECT_EQ(batched.query(tuple(3))->bytes, sequential.query(tuple(3))->bytes);
 }
 
-TEST(FlowMonitor, DecisionTableDoesNotChangeEstimates) {
-  // The config knob toggles only the fast path; every estimate must be
-  // bit-identical either way (the DecisionTable parity guarantee, observed
-  // end to end through the monitor).
-  auto config_on = small_config();
-  auto config_off = small_config();
-  config_off.decision_table = false;
-  FlowMonitor with_table(config_on);
-  FlowMonitor without(config_off);
-  for (int i = 0; i < 20'000; ++i) {
-    const auto t = tuple(static_cast<std::uint32_t>(i % 101));
-    const auto len = 64 + static_cast<std::uint32_t>((i * 37) % 9000);
-    ASSERT_TRUE(with_table.ingest(t, len));
-    ASSERT_TRUE(without.ingest(t, len));
-  }
-  for (std::uint32_t i = 0; i < 101; ++i) {
-    const auto a = with_table.query(tuple(i));
-    const auto b = without.query(tuple(i));
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    ASSERT_EQ(a->bytes, b->bytes) << "flow " << i;
-    ASSERT_EQ(a->packets, b->packets) << "flow " << i;
-  }
-  EXPECT_EQ(with_table.totals().bytes, without.totals().bytes);
-}
-
 }  // namespace
 }  // namespace disco::flowtable

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -552,6 +553,40 @@ TEST(PipelineMonitor, EvictIdleRemovesStaleFlows) {
   EXPECT_EQ(evicted[0].flow, tuple(1));
   EXPECT_FALSE(pipeline.query(tuple(1)).has_value());
   EXPECT_TRUE(pipeline.query(tuple(2)).has_value());
+}
+
+TEST(PipelineMonitor, TopKMergesAcrossWorkers) {
+  auto config = pipeline_config(4, 1);
+  PipelineMonitor pipeline(config);
+  // Volumes 1x..8x across 8 flows that land on different workers.
+  std::vector<bool> owns(config.workers, false);
+  for (std::uint32_t f = 0; f < 8; ++f) {
+    owns[PipelineMonitor::worker_of(tuple(f), config.workers)] = true;
+    for (std::uint32_t i = 0; i < (f + 1) * 50; ++i) {
+      ASSERT_TRUE(pipeline.ingest(0, tuple(f), 500));
+    }
+  }
+  ASSERT_GT(std::count(owns.begin(), owns.end(), true), 1);
+  pipeline.drain();
+  const auto top = pipeline.top_k(3);
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].flow, tuple(7));
+  EXPECT_GE(top[0].bytes, top[1].bytes);
+  EXPECT_GE(top[1].bytes, top[2].bytes);
+}
+
+TEST(PipelineMonitor, MemoryIsSumOfWorkerShards) {
+  const auto config = pipeline_config(4, 1);
+  PipelineMonitor pipeline(config);
+  FlowMonitor::MemoryReport expected;
+  for (unsigned w = 0; w < config.workers; ++w) {
+    expected += FlowMonitor(PipelineMonitor::shard_config(config, w)).memory();
+  }
+  const auto memory = pipeline.memory();
+  EXPECT_GT(memory.volume_counter_bits, 0u);
+  EXPECT_EQ(memory.volume_counter_bits, expected.volume_counter_bits);
+  EXPECT_EQ(memory.size_counter_bits, expected.size_counter_bits);
+  EXPECT_EQ(memory.flow_table_bits, expected.flow_table_bits);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Tests for epoch-report serialisation and collector-side combination, plus
-// the sharded monitor's rotate/evict passthrough.
+// the pipeline monitor's rotate/evict fan-out across workers.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "flowtable/report_io.hpp"
-#include "flowtable/sharded_monitor.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/fault.hpp"
 
 namespace disco::flowtable {
@@ -191,26 +191,29 @@ TEST(ReportIo, InjectedShortWriteThrowsAndRecovers) {
 }
 #endif  // DISCO_FAULTS
 
-// --- sharded monitor lifecycle passthrough ----------------------------------
+// --- pipeline lifecycle across workers ---------------------------------------
 
-ShardedFlowMonitor::Config sharded_config() {
-  ShardedFlowMonitor::Config c;
+pipeline::PipelineMonitor::Config pipeline_config() {
+  pipeline::PipelineMonitor::Config c;
   c.base.max_flows = 256;
   c.base.counter_bits = 12;
   c.base.max_flow_bytes = 1 << 24;
   c.base.max_flow_packets = 1 << 14;
   c.base.seed = 11;
-  c.shards = 4;
+  c.workers = 4;
+  c.producers = 1;
   return c;
 }
 
-TEST(ShardedLifecycle, RotateMergesShardsAndClears) {
-  ShardedFlowMonitor monitor(sharded_config());
+TEST(PipelineLifecycle, RotateMergesWorkersAndClears) {
+  pipeline::PipelineMonitor monitor(pipeline_config());
   for (std::uint32_t i = 0; i < 20; ++i) {
-    for (int p = 0; p < 50; ++p) (void)monitor.ingest(tuple(i), 500);
+    for (int p = 0; p < 50; ++p) ASSERT_TRUE(monitor.ingest(0, tuple(i), 500));
   }
+  monitor.drain();
   const auto report = monitor.rotate();
   EXPECT_EQ(report.flows.size(), 20u);
+  EXPECT_EQ(report.totals.flows, 20u);
   EXPECT_NEAR(report.totals.bytes, 20.0 * 50 * 500, 20.0 * 50 * 500 * 0.2);
   EXPECT_EQ(monitor.totals().flows, 0u);
   // The merged report serialises like any single-monitor report.
@@ -219,11 +222,12 @@ TEST(ShardedLifecycle, RotateMergesShardsAndClears) {
   EXPECT_EQ(read_report(buf).flows.size(), 20u);
 }
 
-TEST(ShardedLifecycle, EvictIdleSpansShards) {
-  ShardedFlowMonitor monitor(sharded_config());
+TEST(PipelineLifecycle, EvictIdleSpansWorkers) {
+  pipeline::PipelineMonitor monitor(pipeline_config());
   for (std::uint32_t i = 0; i < 16; ++i) {
-    (void)monitor.ingest(tuple(i), 400, i < 8 ? 0 : 5'000'000'000ull);
+    ASSERT_TRUE(monitor.ingest(0, tuple(i), 400, i < 8 ? 0 : 5'000'000'000ull));
   }
+  monitor.drain();
   const auto evicted = monitor.evict_idle(6'000'000'000ull, 2'000'000'000ull);
   EXPECT_EQ(evicted.size(), 8u);
   EXPECT_EQ(monitor.totals().flows, 8u);

@@ -96,14 +96,13 @@ TEST(Tools, AnalyzeMetricsEmitsParsableTelemetrySnapshot) {
   const auto snapshot = disco::telemetry::snapshot_from_json(
       output.substr(marker + std::string("telemetry snapshot:\n").size()));
 #if DISCO_TELEMETRY
-  // The replay must surface the operational signals: per-shard ingests,
-  // evictions, and the probe-length histogram.
+  // The replay must surface the operational signals: the replay monitor's
+  // ingests, evictions, and the probe-length histogram.
   std::uint64_t ingests = 0;
   std::uint64_t evictions = 0;
   bool probe_hist = false;
   for (const auto& m : snapshot.metrics) {
-    if (m.name.starts_with("sharded_monitor.shard_") &&
-        m.name.ends_with(".ingest_total")) {
+    if (m.name == "analyze.ingest_total") {
       ingests += static_cast<std::uint64_t>(m.value);
     }
     if (m.name.ends_with(".evictions_total")) {

@@ -12,9 +12,9 @@
 //   --ci               print 95% confidence intervals for the top flows'
 //                      DISCO estimates (Theorem 2 normal approximation)
 //   --metrics          enable runtime telemetry, additionally replay the
-//                      trace through a ShardedFlowMonitor, and print the
+//                      trace through a FlowMonitor, and print the
 //                      metric registry as JSON (see docs/telemetry.md)
-//   --modules a,b,...  replay the trace through a ShardedFlowMonitor with
+//   --modules a,b,...  replay the trace through a FlowMonitor with
 //                      the named analysis modules subscribed to rotate()
 //                      ("all" selects every built-in; docs/modules.md) and
 //                      print each module's report
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "core/disco.hpp"
-#include "flowtable/sharded_monitor.hpp"
+#include "flowtable/monitor.hpp"
 #include "modules/host.hpp"
 #include "stats/experiment.hpp"
 #include "stats/table.hpp"
@@ -215,12 +215,11 @@ int main(int argc, char** argv) {
       for (auto& module : modules::make_modules(modules_selection)) {
         host.attach(std::move(module));
       }
-      flowtable::ShardedFlowMonitor monitor(
-          {.base = {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
-                    .counter_bits = bits,
-                    .seed = seed,
-                    .telemetry_prefix = "analyze_modules"},
-           .shards = 4});
+      flowtable::FlowMonitor monitor(
+          {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
+           .counter_bits = bits,
+           .seed = seed,
+           .telemetry_prefix = "analyze"});
       host.subscribe_to(monitor);
       const std::size_t per_epoch =
           std::max<std::size_t>(1, packets.size() / module_epochs);
@@ -244,13 +243,14 @@ int main(int argc, char** argv) {
     }
 
     if (with_metrics) {
-      // Replay the trace through the online monitor stack so the snapshot
-      // carries the operational signals too (per-shard ingest, occupancy,
-      // evictions, probe lengths), not just the offline error analysis.
-      flowtable::ShardedFlowMonitor monitor(
-          {.base = {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
-                    .counter_bits = bits},
-           .shards = 4});
+      // Replay the trace through the online monitor so the snapshot carries
+      // the operational signals too (ingest, occupancy, evictions, probe
+      // lengths), not just the offline error analysis.  The replay is
+      // single-threaded, so one monitor sized for every flow suffices.
+      flowtable::FlowMonitor monitor(
+          {.max_flows = static_cast<std::size_t>(max_flow_id) + 1,
+           .counter_bits = bits,
+           .telemetry_prefix = "analyze"});
       std::uint64_t now_ns = 0;
       for (std::size_t i = 0; i < packets.size(); ++i) {
         const auto& p = packets[i];
