@@ -87,7 +87,7 @@ Row run_merge(unsigned sites, std::uint32_t epochs, std::uint32_t flows) {
     });
     const auto start = std::chrono::steady_clock::now();
     for (const auto& [site, report] : schedule) {
-      (void)collector.ingest(site, disco::flowtable::kReportVersion, *report);
+      (void)collector.ingest(site, *report);
     }
     collector.finalize_all();
     const std::chrono::duration<double> elapsed =

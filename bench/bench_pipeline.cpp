@@ -83,9 +83,7 @@ struct RunResult {
 
 /// Pipeline knobs the ablation varies; defaults match the headline run.
 struct PipelineOptions {
-  bool batched_ingest = true;      ///< producers use ingest_batch (rx-burst)
-  std::size_t prefetch_depth = 8;  ///< monitor two-phase lookahead; 0 = off
-  bool hugepages = false;          ///< advise THP for table/counter arrays
+  bool batched_ingest = true;  ///< producers use ingest_batch (rx-burst)
   disco::flowtable::EstimatorKind estimator =
       disco::flowtable::EstimatorKind::Disco;
 };
@@ -99,8 +97,6 @@ RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
   using namespace disco;
   pipeline::PipelineMonitor::Config config;
   config.base = base_config();
-  config.base.prefetch_depth = options.prefetch_depth;
-  config.base.hugepages = options.hugepages;
   config.base.estimator = options.estimator;
   config.workers = producers;  // one shard-owning worker per producer
   config.producers = producers;
@@ -324,11 +320,10 @@ int main(int argc, char** argv) {
   }
 
   // --- ingest ablation -------------------------------------------------------
-  // The throughput frontier, one lever at a time, starting from the
-  // per-packet/no-prefetch arrangement earlier BENCH_*.json files measured:
-  // batched producer ingest (hash + bucket + span commit), the monitor's
-  // two-phase prefetch walk, hugepage-backed arrays, and the estimator
-  // family.  The tag-probe engine itself is compile-time (simd_isa below;
+  // The throughput frontier, one lever at a time, starting from per-packet
+  // producer ingest: batched producer ingest (hash + bucket + span commit),
+  // then the estimator family.  Workers always take the monitor's one
+  // batched walk, and the tag-probe engine is compile-time (simd_isa below;
   // see bench_micro_update for the SIMD-vs-scalar probe A/B).  One
   // producer/worker pair: the lever effects are per-core, and adding pairs
   // on an oversubscribed host only adds scheduler noise.
@@ -338,20 +333,11 @@ int main(int argc, char** argv) {
             << "):\n";
   using disco::flowtable::EstimatorKind;
   std::vector<AblationRow> ablation_rows = {
-      {"per-packet ingest, no prefetch",
-       {.batched_ingest = false, .prefetch_depth = 0}, {}},
-      {"+ batched ingest",
-       {.batched_ingest = true, .prefetch_depth = 0}, {}},
-      {"+ prefetch depth 8",
-       {.batched_ingest = true, .prefetch_depth = 8}, {}},
-      {"+ hugepages",
-       {.batched_ingest = true, .prefetch_depth = 8, .hugepages = true}, {}},
-      {"additive estimator (no hugepages)",
-       {.batched_ingest = true, .prefetch_depth = 8,
-        .estimator = EstimatorKind::AdditiveError}, {}},
-      {"additive estimator + hugepages",
-       {.batched_ingest = true, .prefetch_depth = 8, .hugepages = true,
-        .estimator = EstimatorKind::AdditiveError}, {}},
+      {"per-packet ingest", {.batched_ingest = false}, {}},
+      {"+ batched ingest", {.batched_ingest = true}, {}},
+      {"additive estimator",
+       {.batched_ingest = true, .estimator = EstimatorKind::AdditiveError},
+       {}},
   };
   stats::TextTable abl({"configuration", "Mpps", "Gbps", "vs per-packet"});
   for (AblationRow& row : ablation_rows) {
@@ -364,8 +350,7 @@ int main(int argc, char** argv) {
   }
   abl.print(std::cout);
   std::cout << "(batched ingest amortises the ring's release store and the\n"
-               "routing hash over an rx-burst; prefetch hides the tag-group\n"
-               "and counter-slot misses.  The additive estimator's per-update\n"
+               "routing hash over an rx-burst.  The additive estimator's per-update\n"
                "cost is lower than DISCO's, but its halve-all rescale walks\n"
                "are amortised over the epoch: short measurement windows like\n"
                "this one pay the O(slots) scale ramp up front, long ones --\n"
@@ -420,8 +405,6 @@ int main(int argc, char** argv) {
       out << "    {\"label\": \"" << r.label << "\""
           << ", \"batched_ingest\": "
           << (r.options.batched_ingest ? "true" : "false")
-          << ", \"prefetch_depth\": " << r.options.prefetch_depth
-          << ", \"hugepages\": " << (r.options.hugepages ? "true" : "false")
           << ", \"estimator\": \""
           << (r.options.estimator == EstimatorKind::AdditiveError ? "additive"
                                                                   : "disco")

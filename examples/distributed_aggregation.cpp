@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     flowtable::write_report(wire, tap_monitors[tap]->rotate(), tap);
     flowtable::ReportReader reader(wire);
     while (auto item = reader.next()) {
-      (void)collector.ingest(item->site_id, item->version, item->report);
+      (void)collector.ingest(*item);
     }
   }
   collector.finalize_all();

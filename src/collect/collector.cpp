@@ -22,16 +22,13 @@ struct ErrorModel {
   double unit = 0.0;  // kAdditive: counting grid of additive_error_sd
 };
 
-[[nodiscard]] ErrorModel axis_model(double b, double error_unit,
-                                    double fallback_b) {
+[[nodiscard]] ErrorModel axis_model(double b, double error_unit) {
   if (error_unit > 0.0) {
     return {ErrorModel::Kind::kAdditive, 1.0, error_unit};
   }
   if (b >= 1.0) return {ErrorModel::Kind::kMultiplicative, b, 0.0};
-  // Legacy report (v1/v2): the wire carried no error metadata.
-  if (fallback_b >= 1.0) {
-    return {ErrorModel::Kind::kMultiplicative, fallback_b, 0.0};
-  }
+  // No error metadata (an in-process report that never set it): merge the
+  // estimate, but serve no interval rather than a guessed one.
   return {ErrorModel::Kind::kUnbounded, 0.0, 0.0};
 }
 
@@ -105,11 +102,9 @@ bool Collector::site_lagging(const SiteState& site) const {
 }
 
 void Collector::fold_report(SiteState& site, const EpochReport& report) {
-  const ErrorModel volume = axis_model(report.volume_b,
-                                       report.volume_error_unit,
-                                       config_.fallback_b);
-  const ErrorModel size = axis_model(report.size_b, report.size_error_unit,
-                                     config_.fallback_b);
+  const ErrorModel volume =
+      axis_model(report.volume_b, report.volume_error_unit);
+  const ErrorModel size = axis_model(report.size_b, report.size_error_unit);
   const std::uint64_t site_bit =
       site.index < 64 ? (std::uint64_t{1} << site.index) : 0;
   for (const FlowEstimate& flow : report.flows) {
@@ -146,10 +141,8 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
 }
 
 Collector::IngestResult Collector::ingest(std::uint32_t site_id,
-                                          std::uint32_t version,
                                           const EpochReport& report) {
   SiteState& site = site_state(site_id);
-  site.status.last_version = version;
   if (site.epochs.count(report.epoch) != 0) {
     ++site.status.duplicates;
     site.duplicates_metric->inc();
@@ -157,7 +150,6 @@ Collector::IngestResult Collector::ingest(std::uint32_t site_id,
   }
   const bool late =
       any_finalized_ && report.epoch < next_epoch_to_finalize_;
-  if (version < 3) ++site.status.legacy;
   if (!site.status.seen) {
     site.status.seen = true;
     site.status.highwater_epoch = report.epoch;

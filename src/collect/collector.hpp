@@ -57,10 +57,6 @@ struct CollectorConfig {
   /// this many epochs is lagging: it stops gating epoch finalisation (and
   /// is flagged in sites()) until it catches back up.
   std::uint64_t liveness_window = 2;
-  /// Effective base assumed for legacy (v1/v2) reports, whose wire format
-  /// predates error metadata.  0 (default) = none: their estimates still
-  /// merge unbiasedly but mark the affected flows' intervals invalid.
-  double fallback_b = 0.0;
   /// Cap on distinct flow keys tracked for top-k (the global totals stay
   /// exact past the cap; overflowing keys are counted in flows_dropped).
   std::size_t max_tracked_flows = std::size_t{1} << 20;
@@ -75,9 +71,7 @@ struct SiteStatus {
   std::uint64_t duplicates = 0;      ///< rejected duplicate (site, epoch)
   std::uint64_t late = 0;            ///< accepted after their epoch finalised
   std::uint64_t reordered = 0;       ///< arrived below the site's highwater
-  std::uint64_t legacy = 0;          ///< v1/v2 reports (no error metadata)
   std::uint64_t epoch_gaps = 0;      ///< epochs finalised without this site
-  std::uint32_t last_version = 0;    ///< wire version of the latest report
   bool seen = false;                 ///< any report accepted yet
   std::uint64_t highwater_epoch = 0; ///< highest epoch seen (if seen)
   std::uint64_t lag_epochs = 0;      ///< collector highwater - site highwater
@@ -119,15 +113,15 @@ class Collector {
                 ///  counted, but not re-emitted to subscribers
   };
 
-  /// Folds one site report into the global state.  `version` is the wire
-  /// version it arrived as (reports constructed in-process pass
-  /// flowtable::kReportVersion).  Never throws on stream-hygiene issues --
-  /// those are the return value -- only on programmer error.
-  IngestResult ingest(std::uint32_t site_id, std::uint32_t version,
-                      const EpochReport& report);
+  /// Folds one site report into the global state.  A report without
+  /// error metadata (volume_b/size_b below 1 and no additive error unit --
+  /// possible only for one built in-process) still merges unbiasedly but
+  /// marks the affected intervals invalid.  Never throws on stream-hygiene
+  /// issues -- those are the return value -- only on programmer error.
+  IngestResult ingest(std::uint32_t site_id, const EpochReport& report);
   /// Convenience for transport code: ingest a ReportReader item.
   IngestResult ingest(const flowtable::ReportReader::Item& item) {
-    return ingest(item.site_id, item.version, item.report);
+    return ingest(item.site_id, item.report);
   }
 
   /// Registers a subscriber for merged global epoch reports, delivered in

@@ -13,9 +13,9 @@
 //     under concurrent connections.  Clients stream write_report bytes;
 //     the framing is the DRPT format itself.
 //
-// Both transports speak every wire version the repo can read (v1..v3);
-// version skew is the collector's problem to reconcile, not the
-// transport's (docs/collector.md).
+// Both transports carry the one DRPT wire version; a report in any other
+// version, or with out-of-range values, is malformed stream damage
+// (docs/collector.md).
 #pragma once
 
 #include <cstdint>
@@ -76,8 +76,7 @@ class ReportClient {
   ReportClient& operator=(const ReportClient&) = delete;
 
   /// Writes one report (write_report framing) and flushes it to the socket.
-  void send(const EpochReport& report, std::uint32_t site_id,
-            std::uint32_t version = flowtable::kReportVersion);
+  void send(const EpochReport& report, std::uint32_t site_id);
 
  private:
   struct Impl;

@@ -34,9 +34,9 @@
 namespace disco::core {
 
 /// A two-sided interval around a merged estimate.  `valid` is false when a
-/// contribution carried no usable error metadata (e.g. a v1/v2 legacy
-/// report with unknown base and no collector-level fallback): the estimate
-/// itself is still the unbiased sum, but no variance bound exists for it.
+/// contribution carried no usable error metadata (e.g. an in-process report
+/// whose base was never set): the estimate itself is still the unbiased
+/// sum, but no variance bound exists for it.
 struct MergedInterval {
   double estimate = 0.0;
   double low = 0.0;   ///< clamped at 0: traffic cannot be negative
@@ -68,8 +68,8 @@ class MixedEstimateAccumulator {
     variance_ += sd * sd;
   }
 
-  /// An unbiased contribution with NO error metadata (legacy report, no
-  /// fallback base): keeps the sum right, invalidates the interval.
+  /// An unbiased contribution with NO error metadata (a report whose bases
+  /// were never set): keeps the sum right, invalidates the interval.
   void add_unbounded(double estimate) {
     sum_ += estimate;
     valid_ = false;

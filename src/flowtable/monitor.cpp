@@ -12,13 +12,12 @@ namespace disco::flowtable {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4e4f4d44;  // "DMON" LE
-// v3 adds the pressure block after the RNG state: pressure-stream RNG state,
-// cumulative PressureStats, and each counter array's effective base b with
-// its rescale count (so a RescaleB deployment restores to the scale its raw
-// counters are actually expressed in).  v2 snapshots (no pressure block) are
-// still readable.
+// The only version restore() accepts.  Its pressure block follows the RNG
+// state: pressure-stream RNG state, cumulative PressureStats, and each
+// counter array's effective base b with its rescale count (so a RescaleB
+// deployment restores to the scale its raw counters are actually expressed
+// in).
 constexpr std::uint32_t kSnapshotVersion = 3;
-constexpr std::uint32_t kSnapshotVersionV2 = 2;
 
 // Stream-splitting constant for the pressure RNG (same golden-ratio constant
 // SplitMix64 uses): one user seed yields two decorrelated streams.
@@ -74,13 +73,6 @@ FlowMonitor::FlowMonitor(const Config& config)
   // (CounterBank makes this a no-op for the additive estimator.)
   volume_.attach_decision_table();
   size_.attach_decision_table();
-  if (config.hugepages) {
-    // Advisory only: the arrays are already allocated, and khugepaged
-    // collapses the ranges in the background where THP is enabled.
-    table_.advise_hugepages();
-    volume_.advise_hugepages();
-    size_.advise_hugepages();
-  }
   if (config_.pressure.saturation == SaturationPolicy::RescaleB) {
     volume_.enable_rescale(config_.pressure.rescale_growth,
                            config_.pressure.max_rescales);
@@ -112,57 +104,11 @@ bool FlowMonitor::ingest_burst(const FiveTuple& flow, std::uint64_t bytes,
 }
 
 std::size_t FlowMonitor::ingest_batch(std::span<const FlowBurst> bursts) {
-  // The two-phase prefetch walk is only taken under plain Drop admission:
-  // the other policies evict and inherit counters between lookups, so
-  // reordering probes ahead of updates would change what they observe.
-  // Drop's inserts consume no randomness and never touch counters, which
-  // is what makes the phases bit-identical to the single-pass loop.
-  if (config_.prefetch_depth > 0 && bursts.size() > 1 &&
-      config_.pressure.admission == AdmissionPolicy::Drop) {
-    return ingest_batch_prefetch(bursts);
-  }
-  std::size_t accepted = 0;
-  std::uint64_t accepted_packets = 0;
-  std::uint64_t rejected_packets = 0;
-  std::uint64_t rejected_bursts = 0;
-  for (const FlowBurst& burst : bursts) {
-    auto slot = table_.insert_or_get(burst.flow);
-    if (!slot && config_.pressure.admission != AdmissionPolicy::Drop) {
-      // Policy decisions run entirely off the counter-update path: the
-      // transcendental-free hot loop below is untouched, and only the
-      // dedicated pressure RNG is consumed.
-      slot = admit_under_pressure(burst);
-    }
-    if (!slot) {
-      rejected_packets += burst.packets;
-      ++rejected_bursts;
-      continue;
-    }
-    // Volume before size, always: a burst of one packet consumes the RNG
-    // stream exactly as the per-packet path did, keeping the batch,
-    // per-burst, and per-packet paths (and snapshots taken across them)
-    // interchangeable.
-    volume_.add(*slot, burst.bytes, rng_);
-    size_.add(*slot, burst.packets, rng_);
-    last_seen_ns_[*slot] = burst.last_ns;
-    accepted_packets += burst.packets;
-    ++accepted;
-  }
-  packets_seen_ += accepted_packets;
-  pressure_.flows_rejected += rejected_bursts;
-  metrics_.rejects->inc(rejected_packets);
-  metrics_.flows_rejected->inc(rejected_bursts);
-  metrics_.ingests->inc(accepted_packets);
-  metrics_.occupancy->set(static_cast<std::int64_t>(table_.size()));
-  sync_pressure_counters();
-  return accepted;
-}
-
-std::size_t FlowMonitor::ingest_batch_prefetch(
-    std::span<const FlowBurst> bursts) {
   // Window-at-a-time so the scratch arrays live on the stack regardless of
   // the caller's batch size (the pipeline pops <= 256 messages per visit).
   constexpr std::size_t kWindow = 256;
+  // Tag-group prefetches kept in flight ahead of the probe.
+  constexpr std::size_t kLookahead = 8;
   constexpr std::uint32_t kNoSlot = 0xffffffffu;
   std::uint64_t hashes[kWindow];
   std::uint32_t slots[kWindow];
@@ -171,37 +117,13 @@ std::size_t FlowMonitor::ingest_batch_prefetch(
   std::uint64_t accepted_packets = 0;
   std::uint64_t rejected_packets = 0;
   std::uint64_t rejected_bursts = 0;
-  for (std::size_t base = 0; base < bursts.size(); base += kWindow) {
-    const std::size_t n = std::min(kWindow, bursts.size() - base);
-    const std::span<const FlowBurst> window = bursts.subspan(base, n);
-    const std::size_t depth = std::min(config_.prefetch_depth, n);
-
-    // Phase 1: probe the window, keeping `depth` tag-group prefetches in
-    // flight ahead of the probes, and pull each accepted slot's counter
-    // words toward the cache for phase 2.
-    for (std::size_t j = 0; j < depth; ++j) {
-      hashes[j] = FlowTable::hash_of(window[j].flow);
-      table_.prefetch(hashes[j]);
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j + depth < n) {
-        hashes[j + depth] = FlowTable::hash_of(window[j + depth].flow);
-        table_.prefetch(hashes[j + depth]);
-      }
-      const auto slot = table_.insert_or_get(window[j].flow, hashes[j]);
-      if (slot) {
-        slots[j] = *slot;
-        volume_.prefetch(*slot);
-        size_.prefetch(*slot);
-      } else {
-        slots[j] = kNoSlot;
-      }
-    }
-
-    // Phase 2: counter updates in burst order -- the same volume-then-size
-    // sequence per burst as the single-pass loop, so the RNG stream is
-    // identical burst for burst.
-    for (std::size_t j = 0; j < n; ++j) {
+  // Phase 2 over window[from, to): counter updates in burst order.  Volume
+  // before size, always: a burst of one packet consumes the RNG stream
+  // exactly as the per-packet path did, keeping the batch, per-burst, and
+  // per-packet paths (and snapshots taken across them) interchangeable.
+  const auto apply = [&](std::span<const FlowBurst> window, std::size_t from,
+                         std::size_t to) {
+    for (std::size_t j = from; j < to; ++j) {
       const FlowBurst& burst = window[j];
       if (slots[j] == kNoSlot) {
         rejected_packets += burst.packets;
@@ -214,6 +136,46 @@ std::size_t FlowMonitor::ingest_batch_prefetch(
       accepted_packets += burst.packets;
       ++accepted;
     }
+  };
+  for (std::size_t base = 0; base < bursts.size(); base += kWindow) {
+    const std::size_t n = std::min(kWindow, bursts.size() - base);
+    const std::span<const FlowBurst> window = bursts.subspan(base, n);
+    const std::size_t depth = std::min(kLookahead, n);
+    std::size_t applied = 0;  // phase 2 has run for window[0, applied)
+
+    // Phase 1: probe the window, keeping `depth` tag-group prefetches in
+    // flight ahead of the probes, and pull each accepted slot's counter
+    // words toward the cache for phase 2.  Probes draw no randomness and
+    // never touch counters, so running them ahead of the updates changes
+    // nothing an update observes.
+    for (std::size_t j = 0; j < depth; ++j) {
+      hashes[j] = FlowTable::hash_of(window[j].flow);
+      table_.prefetch(hashes[j]);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j + depth < n) {
+        hashes[j + depth] = FlowTable::hash_of(window[j + depth].flow);
+        table_.prefetch(hashes[j + depth]);
+      }
+      auto slot = table_.insert_or_get(window[j].flow, hashes[j]);
+      if (!slot && config_.pressure.admission != AdmissionPolicy::Drop) {
+        // Admission reads and rewrites counters (victim sampling, the RAP
+        // coin, inheritance or reset), so it must see every earlier burst's
+        // update: flush phase 2 up to here first.  It draws only from the
+        // dedicated pressure RNG.
+        apply(window, applied, j);
+        applied = j;
+        slot = admit_under_pressure(window[j]);
+      }
+      if (slot) {
+        slots[j] = *slot;
+        volume_.prefetch(*slot);
+        size_.prefetch(*slot);
+      } else {
+        slots[j] = kNoSlot;
+      }
+    }
+    apply(window, applied, n);
   }
   packets_seen_ += accepted_packets;
   pressure_.flows_rejected += rejected_bursts;
@@ -449,7 +411,7 @@ FlowMonitor FlowMonitor::restore(std::istream& in) {
     throw std::runtime_error("FlowMonitor::restore: bad magic");
   }
   const auto version = get<std::uint32_t>(in);
-  if (version != kSnapshotVersion && version != kSnapshotVersionV2) {
+  if (version != kSnapshotVersion) {
     throw std::runtime_error("FlowMonitor::restore: unsupported version");
   }
   Config config;
@@ -469,26 +431,24 @@ FlowMonitor FlowMonitor::restore(std::istream& in) {
   monitor.packets_seen_ = get<std::uint64_t>(in);
   monitor.rng_.set_state(get<util::Rng::State>(in));
 
-  if (version >= 3) {
-    monitor.pressure_rng_.set_state(get<util::Rng::State>(in));
-    monitor.pressure_.flows_rejected = get<std::uint64_t>(in);
-    monitor.pressure_.flows_evicted = get<std::uint64_t>(in);
-    monitor.pressure_.counters_saturated = get<std::uint64_t>(in);
-    monitor.pressure_.rescale_events = get<std::uint64_t>(in);
-    const auto volume_b = get<double>(in);
-    const auto volume_rescales = get<std::uint64_t>(in);
-    const auto size_b = get<double>(in);
-    const auto size_rescales = get<std::uint64_t>(in);
-    if (!(volume_b > 1.0) || !(size_b > 1.0)) {
-      throw std::runtime_error("FlowMonitor::restore: implausible base b");
-    }
-    monitor.volume_.restore_scale(volume_b, volume_rescales);
-    monitor.size_.restore_scale(size_b, size_rescales);
-    // Freshly constructed arrays have zero overflow tallies; rescale counts
-    // were just restored, so the sync watermarks start exactly there.
-    monitor.saturations_seen_ = 0;
-    monitor.rescales_seen_ = volume_rescales + size_rescales;
+  monitor.pressure_rng_.set_state(get<util::Rng::State>(in));
+  monitor.pressure_.flows_rejected = get<std::uint64_t>(in);
+  monitor.pressure_.flows_evicted = get<std::uint64_t>(in);
+  monitor.pressure_.counters_saturated = get<std::uint64_t>(in);
+  monitor.pressure_.rescale_events = get<std::uint64_t>(in);
+  const auto volume_b = get<double>(in);
+  const auto volume_rescales = get<std::uint64_t>(in);
+  const auto size_b = get<double>(in);
+  const auto size_rescales = get<std::uint64_t>(in);
+  if (!(volume_b > 1.0) || !(size_b > 1.0)) {
+    throw std::runtime_error("FlowMonitor::restore: implausible base b");
   }
+  monitor.volume_.restore_scale(volume_b, volume_rescales);
+  monitor.size_.restore_scale(size_b, size_rescales);
+  // Freshly constructed arrays have zero overflow tallies; rescale counts
+  // were just restored, so the sync watermarks start exactly there.
+  monitor.saturations_seen_ = 0;
+  monitor.rescales_seen_ = volume_rescales + size_rescales;
 
   const auto flow_count = get<std::uint64_t>(in);
   if (flow_count > config.max_flows) {

@@ -64,17 +64,6 @@ class FlowMonitor {
     /// counters rescale natively by halving; events surface through the
     /// usual rescale telemetry).
     EstimatorKind estimator = EstimatorKind::Disco;
-    /// Batched-ingest lookahead (ingest_batch): hash and prefetch this many
-    /// bursts ahead of the probe, then run the counter updates as a second
-    /// pass over cache-warm slots.  0 restores the single-pass loop.  Only
-    /// a memory-latency knob: estimates, RNG stream, and rejections are
-    /// bit-identical either way (the two-phase walk needs admission ==
-    /// Drop; other policies always take the single-pass loop).
-    std::size_t prefetch_depth = 8;
-    /// Advisory transparent-hugepage backing (util/hugepage.hpp) for the
-    /// flow-table bucket/tag arrays and both counter stores -- trims TLB
-    /// misses at millions of flows.  No-op off Linux or without THP.
-    bool hugepages = false;
   };
 
   explicit FlowMonitor(const Config& config);
@@ -100,10 +89,12 @@ class FlowMonitor {
 
   /// Counts a batch of pre-aggregated bursts in order.  Exactly equivalent
   /// to calling ingest_burst once per element (same RNG stream, same
-  /// estimates, same rejection behaviour); the batch form amortises
-  /// telemetry updates and keeps the attached decision tables hot across
-  /// the whole batch -- the pipeline's pop-batch loop feeds it directly.
-  /// Returns the number of bursts accepted into the flow table.
+  /// estimates, same rejection and admission behaviour under every
+  /// policy); the batch form hashes and prefetches a few bursts ahead of
+  /// the probe, runs the counter updates as a second pass over cache-warm
+  /// slots, and amortises telemetry updates -- the pipeline's pop-batch
+  /// loop feeds it directly.  Returns the number of bursts accepted into
+  /// the flow table.
   std::size_t ingest_batch(std::span<const FlowBurst> bursts);
 
   /// Per-flow on-line estimates.
@@ -276,13 +267,6 @@ class FlowMonitor {
   /// Folds the counter arrays' overflow/rescale tallies into pressure_ and
   /// the telemetry registry (delta since the last sync).
   void sync_pressure_counters();
-
-  /// The two-phase batched walk behind ingest_batch when prefetch_depth > 0
-  /// and admission == Drop: hash + prefetch a few bursts ahead, probe the
-  /// whole window recording slots, then apply the counter updates in burst
-  /// order over cache-warm words.  Bit-identical to the single-pass loop
-  /// (inserts draw no randomness; the adds run in the same order).
-  std::size_t ingest_batch_prefetch(std::span<const FlowBurst> bursts);
 
   Config config_;
   FlowTable table_;

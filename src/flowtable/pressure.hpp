@@ -40,7 +40,7 @@
 //
 // Every degradation event is observable: PressureStats counts it, the
 // telemetry registry mirrors it (docs/telemetry.md), and epoch reports carry
-// it to collectors (flowtable/report_io.hpp, format v2).
+// it to collectors (flowtable/report_io.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "flowtable/report_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -30,32 +31,37 @@ template <typename T>
   return value;
 }
 
+// A decoded total, estimate, base or error unit: finite and non-negative,
+// or the whole report is malformed.  One NaN would otherwise poison every
+// sum the collector serves while its interval still reads valid.
+[[nodiscard]] double get_amount(std::istream& in) {
+  const auto value = get<double>(in);
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::runtime_error("report_io: non-finite or negative value");
+  }
+  return value;
+}
+
 // Body shared by read_report and ReportReader: everything after the magic.
 [[nodiscard]] ReportReader::Item read_after_magic(std::istream& in) {
-  ReportReader::Item item;
-  const auto version = get<std::uint32_t>(in);
-  if (version < 1 || version > kReportVersion) {
+  if (get<std::uint32_t>(in) != kReportVersion) {
     throw std::runtime_error("report_io: unsupported version");
   }
-  item.version = version;
+  ReportReader::Item item;
   FlowMonitor::EpochReport& report = item.report;
   report.epoch = get<std::uint64_t>(in);
-  if (version >= 3) item.site_id = get<std::uint32_t>(in);
-  report.totals.bytes = get<double>(in);
-  report.totals.packets = get<double>(in);
+  item.site_id = get<std::uint32_t>(in);
+  report.totals.bytes = get_amount(in);
+  report.totals.packets = get_amount(in);
   report.totals.flows = static_cast<std::size_t>(get<std::uint64_t>(in));
-  if (version >= 2) {
-    report.pressure.flows_rejected = get<std::uint64_t>(in);
-    report.pressure.flows_evicted = get<std::uint64_t>(in);
-    report.pressure.counters_saturated = get<std::uint64_t>(in);
-    report.pressure.rescale_events = get<std::uint64_t>(in);
-  }
-  if (version >= 3) {
-    report.volume_b = get<double>(in);
-    report.size_b = get<double>(in);
-    report.volume_error_unit = get<double>(in);
-    report.size_error_unit = get<double>(in);
-  }
+  report.pressure.flows_rejected = get<std::uint64_t>(in);
+  report.pressure.flows_evicted = get<std::uint64_t>(in);
+  report.pressure.counters_saturated = get<std::uint64_t>(in);
+  report.pressure.rescale_events = get<std::uint64_t>(in);
+  report.volume_b = get_amount(in);
+  report.size_b = get_amount(in);
+  report.volume_error_unit = get_amount(in);
+  report.size_error_unit = get_amount(in);
   const auto count = get<std::uint64_t>(in);
   report.flows.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, std::uint64_t{1} << 20)));
@@ -66,8 +72,8 @@ template <typename T>
     flow.flow.src_port = get<std::uint16_t>(in);
     flow.flow.dst_port = get<std::uint16_t>(in);
     flow.flow.protocol = get<std::uint8_t>(in);
-    flow.bytes = get<double>(in);
-    flow.packets = get<double>(in);
+    flow.bytes = get_amount(in);
+    flow.packets = get_amount(in);
     report.flows.push_back(flow);
   }
   return item;
@@ -76,30 +82,22 @@ template <typename T>
 }  // namespace
 
 void write_report(std::ostream& out, const FlowMonitor::EpochReport& report,
-                  std::uint32_t site_id, std::uint32_t version) {
-  if (version < 1 || version > kReportVersion) {
-    // Programmer error (a caller invented a version), not an I/O failure.
-    throw std::invalid_argument("report_io: cannot write unsupported version");
-  }
+                  std::uint32_t site_id) {
   put(out, kReportMagic);
-  put(out, version);
+  put(out, kReportVersion);
   put(out, report.epoch);
-  if (version >= 3) put(out, site_id);
+  put(out, site_id);
   put(out, report.totals.bytes);
   put(out, report.totals.packets);
   put(out, static_cast<std::uint64_t>(report.totals.flows));
-  if (version >= 2) {
-    put(out, report.pressure.flows_rejected);
-    put(out, report.pressure.flows_evicted);
-    put(out, report.pressure.counters_saturated);
-    put(out, report.pressure.rescale_events);
-  }
-  if (version >= 3) {
-    put(out, report.volume_b);
-    put(out, report.size_b);
-    put(out, report.volume_error_unit);
-    put(out, report.size_error_unit);
-  }
+  put(out, report.pressure.flows_rejected);
+  put(out, report.pressure.flows_evicted);
+  put(out, report.pressure.counters_saturated);
+  put(out, report.pressure.rescale_events);
+  put(out, report.volume_b);
+  put(out, report.size_b);
+  put(out, report.volume_error_unit);
+  put(out, report.size_error_unit);
   put(out, static_cast<std::uint64_t>(report.flows.size()));
   for (const auto& flow : report.flows) {
     put(out, flow.flow.src_ip);

@@ -8,16 +8,14 @@
 // reports from several appliances at the estimate level; counter-level
 // aggregation is core/disco.hpp's merge.
 //
-// Version history (docs/collector.md has the byte-level tables):
-//   v1  header (epoch, totals) + flow records.
-//   v2  inserts the report's PressureStats between totals and flows, so a
-//       collector can tell a clean report from one produced under pressure.
-//   v3  adds a site id after the epoch, and the estimator error metadata
-//       (effective bases volume_b/size_b, additive error units) after the
-//       pressure block -- everything a collector needs to attach Theorem 2
-//       / additive confidence intervals to estimates merged across sites.
-// Readers accept all versions; absent fields read as zero (volume_b == 0
-// marks a legacy report whose base is unknown).
+// One wire version, kReportVersion (docs/collector.md has the byte-level
+// table): magic, version, epoch, site id, totals, the cumulative
+// PressureStats, the estimator error metadata (effective bases
+// volume_b/size_b, additive error units) -- everything a collector needs to
+// attach Theorem 2 / additive confidence intervals to estimates merged
+// across sites -- then the flow records.  Readers are strict: any other
+// version, and any non-finite or negative total, estimate, base or error
+// unit, is rejected as malformed rather than merged.
 #pragma once
 
 #include <cstdint>
@@ -33,20 +31,16 @@ inline constexpr std::uint32_t kReportMagic = 0x54505244;  // "DRPT" LE
 inline constexpr std::uint32_t kReportVersion = 3;
 
 /// Writes one epoch report.  `site_id` identifies the producing monitor
-/// process in a multi-site deployment (v3+ field; dropped when emitting
-/// older versions).  `version` selects the wire version, for mixed fleets
-/// where the collector is newer than some monitors.  Throws
-/// std::runtime_error on I/O failure -- including short writes a buffered
-/// sink only surfaces at flush time: the stream is flushed before this
-/// returns, so a report that came back without an exception is fully on the
-/// wire.
+/// process in a multi-site deployment.  Throws std::runtime_error on I/O
+/// failure -- including short writes a buffered sink only surfaces at flush
+/// time: the stream is flushed before this returns, so a report that came
+/// back without an exception is fully on the wire.
 void write_report(std::ostream& out, const FlowMonitor::EpochReport& report,
-                  std::uint32_t site_id = 0,
-                  std::uint32_t version = kReportVersion);
+                  std::uint32_t site_id = 0);
 
-/// Reads a report written by write_report (any supported version).  Throws
-/// std::runtime_error on malformed input.  Fields a version lacks read as
-/// zero; the v3 site id is not surfaced here (use ReportReader).
+/// Reads a report written by write_report.  Throws std::runtime_error on
+/// malformed input (see the strictness rules above); the site id is not
+/// surfaced here (use ReportReader).
 [[nodiscard]] FlowMonitor::EpochReport read_report(std::istream& in);
 
 /// Streaming reader for a concatenated sequence of reports -- a spool file
@@ -59,13 +53,13 @@ class ReportReader {
   explicit ReportReader(std::istream& in) : in_(&in) {}
 
   struct Item {
-    std::uint32_t version = 0;  ///< wire version this report arrived as
-    std::uint32_t site_id = 0;  ///< 0 for pre-v3 reports
+    std::uint32_t site_id = 0;
     FlowMonitor::EpochReport report;
   };
 
   /// The next report, or nullopt at a clean end-of-stream.  Throws
-  /// std::runtime_error on truncation or malformed bytes; the reader is
+  /// std::runtime_error on truncation or malformed bytes (a wrong version
+  /// or an out-of-range value included); the reader is
   /// then poisoned (every later call rethrows) because resynchronising
   /// inside a torn binary stream would risk double-counting.
   [[nodiscard]] std::optional<Item> next();

@@ -321,20 +321,19 @@ TEST(AdditiveMonitor, SnapshotThrows) {
   EXPECT_THROW(monitor.snapshot(out), std::runtime_error);
 }
 
-TEST(AdditiveMonitor, BatchedPrefetchPathIsBitIdentical) {
-  // The two-phase prefetch walk must preserve the RNG stream for additive
+TEST(AdditiveMonitor, BatchedIngestMatchesPerBurstIngest) {
+  // The two-phase batched walk must preserve the RNG stream for additive
   // counters too (their add() draws once per update, like DISCO's): same
-  // bursts, prefetch_depth 0 vs 8, bit-identical estimates and reports.
+  // bursts, one ingest_batch vs one ingest_burst each, bit-identical
+  // estimates and reports.
   flowtable::FlowMonitor::Config base;
   base.max_flows = 512;
   base.counter_bits = 12;
   base.estimator = flowtable::EstimatorKind::AdditiveError;
   base.seed = 0xfe7c;
   auto single = base;
-  single.prefetch_depth = 0;
   single.telemetry_prefix = "additive_single";
   auto batched = base;
-  batched.prefetch_depth = 8;
   batched.telemetry_prefix = "additive_batched";
   flowtable::FlowMonitor mono(single);
   flowtable::FlowMonitor duo(batched);
@@ -346,7 +345,13 @@ TEST(AdditiveMonitor, BatchedPrefetchPathIsBitIdentical) {
         tuple_of(static_cast<std::uint32_t>(rng.uniform_u64(0, 700))),
         rng.uniform_u64(64, 9000), rng.uniform_u64(1, 6), 0});
   }
-  ASSERT_EQ(mono.ingest_batch(bursts), duo.ingest_batch(bursts));
+  std::size_t accepted_single = 0;
+  for (const auto& b : bursts) {
+    if (mono.ingest_burst(b.flow, b.bytes, b.packets, b.last_ns)) {
+      ++accepted_single;
+    }
+  }
+  ASSERT_EQ(accepted_single, duo.ingest_batch(bursts));
   for (std::uint32_t i = 0; i <= 700; ++i) {
     const auto a = mono.query(tuple_of(i));
     const auto b = duo.query(tuple_of(i));

@@ -80,7 +80,7 @@ Collector::GlobalTotals run_trial(int trial, std::vector<GlobalEstimate>* top,
   config.confidence = confidence;
   Collector collector(config);
   for (std::uint32_t s = 0; s < sites.size(); ++s) {
-    (void)collector.ingest(s, flowtable::kReportVersion, sites[s].rotate());
+    (void)collector.ingest(s, sites[s].rotate());
   }
   collector.finalize_all();
   if (top != nullptr) *top = collector.top_k(8);

@@ -110,11 +110,11 @@ std::unique_ptr<Collector> single_process_reference(std::uint64_t seed) {
     (void)monitor.ingest(tuple_for_flow(packet->flow_id), packet->length);
     ++index;
     if (rotated + 1 < kEpochs && index == per_epoch * (rotated + 1)) {
-      (void)reference->ingest(0, flowtable::kReportVersion, monitor.rotate());
+      (void)reference->ingest(0, monitor.rotate());
       ++rotated;
     }
   }
-  (void)reference->ingest(0, flowtable::kReportVersion, monitor.rotate());
+  (void)reference->ingest(0, monitor.rotate());
   reference->finalize_all();
   return reference;
 }
@@ -172,7 +172,6 @@ void check_convergence(Collector& collector, std::uint64_t seed) {
     EXPECT_EQ(site.duplicates, 0u) << site.site_id;
     EXPECT_EQ(site.late, 0u) << site.site_id;
     EXPECT_EQ(site.epoch_gaps, 0u) << site.site_id;
-    EXPECT_EQ(site.legacy, 0u) << site.site_id;
   }
 
   const GroundTruth truth = exact_truth(seed);

@@ -111,8 +111,13 @@ TEST(FlowMonitor, DeterministicUnderSeed) {
 }
 
 TEST(FlowMonitor, IngestBatchMatchesSequentialBursts) {
-  // The batch API's contract is exact equivalence: same accepted count,
-  // same counters, same RNG stream position as per-element ingest_burst.
+  // The batch API's contract is exact equivalence under every admission
+  // policy: same accepted count, same counters, same evictions, same RNG
+  // stream positions (measurement and pressure) as per-element
+  // ingest_burst.  max_flows = 512 < 600 distinct flows, so the table
+  // fills: Drop rejects the tail bursts, while RAP and EvictSmallest send
+  // them through the victim path, which the batched walk must reach with
+  // every earlier burst's update already applied.
   std::vector<FlowBurst> bursts;
   util::Rng source(7);
   for (int i = 0; i < 3000; ++i) {
@@ -122,35 +127,54 @@ TEST(FlowMonitor, IngestBatchMatchesSequentialBursts) {
                                static_cast<std::uint64_t>(i) * 1000});
   }
 
-  FlowMonitor batched(small_config());
-  FlowMonitor sequential(small_config());
-  std::size_t accepted_batched = batched.ingest_batch(bursts);
-  std::size_t accepted_seq = 0;
-  for (const FlowBurst& b : bursts) {
-    accepted_seq += sequential.ingest_burst(b.flow, b.bytes, b.packets,
-                                            b.last_ns)
-                        ? 1
-                        : 0;
-  }
-  // max_flows = 512 < 600 distinct flows: both paths must reject the same
-  // tail bursts.
-  EXPECT_EQ(accepted_batched, accepted_seq);
-  EXPECT_LT(accepted_batched, bursts.size());
-  EXPECT_EQ(batched.packets_seen(), sequential.packets_seen());
-  for (std::uint32_t i = 0; i < 600; ++i) {
-    const auto eb = batched.query(tuple(i));
-    const auto es = sequential.query(tuple(i));
-    ASSERT_EQ(eb.has_value(), es.has_value()) << "flow " << i;
-    if (eb) {
-      ASSERT_EQ(eb->bytes, es->bytes) << "flow " << i;
-      ASSERT_EQ(eb->packets, es->packets) << "flow " << i;
+  for (const AdmissionPolicy admission :
+       {AdmissionPolicy::Drop, AdmissionPolicy::RandomizedAdmission,
+        AdmissionPolicy::EvictSmallest}) {
+    SCOPED_TRACE(static_cast<int>(admission));
+    FlowMonitor::Config config = small_config();
+    config.pressure.admission = admission;
+    FlowMonitor batched(config);
+    FlowMonitor sequential(config);
+    std::size_t accepted_batched = batched.ingest_batch(bursts);
+    std::size_t accepted_seq = 0;
+    for (const FlowBurst& b : bursts) {
+      accepted_seq += sequential.ingest_burst(b.flow, b.bytes, b.packets,
+                                              b.last_ns)
+                          ? 1
+                          : 0;
     }
+    EXPECT_EQ(accepted_batched, accepted_seq);
+    EXPECT_EQ(batched.packets_seen(), sequential.packets_seen());
+    EXPECT_EQ(batched.pressure().flows_rejected,
+              sequential.pressure().flows_rejected);
+    EXPECT_EQ(batched.pressure().flows_evicted,
+              sequential.pressure().flows_evicted);
+    if (admission == AdmissionPolicy::Drop) {
+      EXPECT_LT(accepted_batched, bursts.size());
+    } else {
+      EXPECT_GT(batched.pressure().flows_evicted, 0u);
+    }
+    for (std::uint32_t i = 0; i < 600; ++i) {
+      const auto eb = batched.query(tuple(i));
+      const auto es = sequential.query(tuple(i));
+      ASSERT_EQ(eb.has_value(), es.has_value()) << "flow " << i;
+      if (eb) {
+        ASSERT_EQ(eb->bytes, es->bytes) << "flow " << i;
+        ASSERT_EQ(eb->packets, es->packets) << "flow " << i;
+      }
+    }
+    // RNG streams still in lockstep: one more identical ingest on each side
+    // must stay bit-identical.
+    ASSERT_EQ(batched.ingest(tuple(3), 999), sequential.ingest(tuple(3), 999));
+    const auto eb = batched.query(tuple(3));
+    const auto es = sequential.query(tuple(3));
+    ASSERT_EQ(eb.has_value(), es.has_value());
+    if (eb) {
+      EXPECT_EQ(eb->bytes, es->bytes);
+    }
+    EXPECT_EQ(batched.pressure().flows_evicted,
+              sequential.pressure().flows_evicted);
   }
-  // RNG streams still in lockstep: one more identical ingest on each side
-  // must stay bit-identical.
-  ASSERT_TRUE(batched.ingest(tuple(3), 999));
-  ASSERT_TRUE(sequential.ingest(tuple(3), 999));
-  EXPECT_EQ(batched.query(tuple(3))->bytes, sequential.query(tuple(3))->bytes);
 }
 
 }  // namespace

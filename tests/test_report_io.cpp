@@ -93,7 +93,7 @@ TEST(ReportIo, CombineSumsTotals) {
   EXPECT_EQ(merged.totals.flows, a.totals.flows + b.totals.flows);
 }
 
-// --- v2 pressure block -------------------------------------------------------
+// --- pressure block ---------------------------------------------------------
 
 TEST(ReportIo, PressureStatsRoundTripAndCombine) {
   auto a = sample_report();
@@ -111,27 +111,6 @@ TEST(ReportIo, PressureStatsRoundTripAndCombine) {
   const auto merged = combine_reports(a, b);
   EXPECT_EQ(merged.pressure.flows_rejected, 12u);
   EXPECT_EQ(merged.pressure.rescale_events, 6u);
-}
-
-TEST(ReportIo, ReadsLegacyV1WithZeroPressure) {
-  // Hand-built v1 stream: magic, version 1, epoch, totals, zero flows --
-  // exactly what a pre-pressure writer emitted.
-  std::stringstream buf;
-  auto put = [&buf](const auto& v) {
-    buf.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(kReportMagic);
-  put(std::uint32_t{1});
-  put(std::uint64_t{5});  // epoch
-  put(double{123.0});     // totals.bytes
-  put(double{4.0});       // totals.packets
-  put(std::uint64_t{2});  // totals.flows
-  put(std::uint64_t{0});  // flow records
-  const auto parsed = read_report(buf);
-  EXPECT_EQ(parsed.epoch, 5u);
-  EXPECT_EQ(parsed.totals.flows, 2u);
-  EXPECT_EQ(parsed.pressure.flows_rejected, 0u);
-  EXPECT_EQ(parsed.pressure.rescale_events, 0u);
 }
 
 // --- short-write detection ---------------------------------------------------

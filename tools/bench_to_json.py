@@ -165,8 +165,10 @@ def detect_simd_isa() -> str:
 def detect_hugepages() -> str:
     """Transparent-hugepage mode ('always'/'madvise'/'never'/'unavailable').
 
-    'madvise' or 'always' means the monitors' hugepages=true knob can take
-    effect; recorded so hugepage ablation rows are interpretable later.
+    Host metadata: under 'always' the kernel may back the monitors' large
+    flat arrays with huge pages, under 'madvise'/'never' they stay on 4 KiB
+    pages (the code issues no advice), and that moves throughput at
+    millions of flows independently of the code.
     """
     path = "/sys/kernel/mm/transparent_hugepage/enabled"
     try:

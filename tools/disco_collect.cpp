@@ -19,8 +19,6 @@
 //   --window W         liveness window in epochs: a site lagging more than
 //                      W epochs behind the fleet stops gating epoch
 //                      finalisation (default 2)
-//   --fallback-b B     effective base assumed for legacy v1/v2 reports
-//                      (default 0: their flows get no interval)
 //   --modules a,b,...  subscribe the named analysis modules ("all" for every
 //                      built-in; docs/modules.md) to the merged epoch stream
 //                      and print their reports
@@ -51,7 +49,7 @@ namespace {
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::cerr << "error: " << error << "\n\n";
   std::cerr << "usage: disco_collect --spool FILE [FILE ...] [--top K]"
-               " [--confidence C] [--window W] [--fallback-b B]"
+               " [--confidence C] [--window W]"
                " [--sites N] [--modules a,b,...|all] [--json]\n"
                "       disco_collect --listen PORT [--expect R]"
                " [--wait-ms T] [same options]\n";
@@ -83,8 +81,8 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
     std::cout << "  [" << fmt(totals.bytes_low, 0) << ", "
               << fmt(totals.bytes_high, 0) << "]";
   } else {
-    std::cout << "  [interval unavailable: legacy reports without"
-                 " --fallback-b]";
+    std::cout << "  [interval unavailable: reports without error"
+                 " metadata]";
   }
   std::cout << ", packets: " << fmt(totals.packets, 0) << "\n";
   const auto pressure = collector.pressure();
@@ -111,8 +109,8 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
 
   std::cout << "\n";
   disco::stats::TextTable site_table({"site", "reports", "dup", "late",
-                                      "reorder", "gaps", "legacy", "lag",
-                                      "live", "b"});
+                                      "reorder", "gaps", "lag", "live",
+                                      "b"});
   for (const auto& s : collector.sites()) {
     site_table.add_row({std::to_string(s.site_id),
                         std::to_string(s.reports),
@@ -120,7 +118,6 @@ void print_text(const disco::collect::Collector& collector, std::size_t top) {
                         std::to_string(s.late),
                         std::to_string(s.reordered),
                         std::to_string(s.epoch_gaps),
-                        std::to_string(s.legacy),
                         std::to_string(s.lag_epochs),
                         s.lagging ? "lagging" : "live",
                         s.volume_b > 0.0 ? fmt(s.volume_b, 5) : "-"});
@@ -159,7 +156,7 @@ void print_json(const disco::collect::Collector& collector, std::size_t top) {
     out << "{\"site\":" << s.site_id << ",\"reports\":" << s.reports
         << ",\"duplicates\":" << s.duplicates << ",\"late\":" << s.late
         << ",\"reordered\":" << s.reordered
-        << ",\"epoch_gaps\":" << s.epoch_gaps << ",\"legacy\":" << s.legacy
+        << ",\"epoch_gaps\":" << s.epoch_gaps
         << ",\"lag_epochs\":" << s.lag_epochs
         << ",\"lagging\":" << (s.lagging ? "true" : "false") << "}";
   }
@@ -200,7 +197,6 @@ int main(int argc, char** argv) {
     else if (arg == "--top") top = static_cast<std::size_t>(std::atoll(value().c_str()));
     else if (arg == "--confidence") config.confidence = std::atof(value().c_str());
     else if (arg == "--window") config.liveness_window = static_cast<std::uint64_t>(std::atoll(value().c_str()));
-    else if (arg == "--fallback-b") config.fallback_b = std::atof(value().c_str());
     else if (arg == "--modules") modules_selection = value();
     else if (arg == "--json") json = true;
     else usage(("unknown option: " + arg).c_str());
