@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/theory.hpp"
+#include "flowtable/top_k.hpp"
 #include "telemetry/registry.hpp"
 
 namespace disco::collect {
@@ -54,16 +55,6 @@ void fold_estimate(core::MixedEstimateAccumulator& acc, double estimate,
       acc.add_unbounded(estimate);
       break;
   }
-}
-
-// Deterministic total order for equal byte estimates, so top_k output is
-// stable across runs and platforms.
-[[nodiscard]] bool tuple_less(const FiveTuple& a, const FiveTuple& b) {
-  if (a.src_ip != b.src_ip) return a.src_ip < b.src_ip;
-  if (a.dst_ip != b.dst_ip) return a.dst_ip < b.dst_ip;
-  if (a.src_port != b.src_port) return a.src_port < b.src_port;
-  if (a.dst_port != b.dst_port) return a.dst_port < b.dst_port;
-  return a.protocol < b.protocol;
 }
 
 }  // namespace
@@ -252,11 +243,24 @@ void Collector::finalize_all() {
 }
 
 std::vector<GlobalEstimate> Collector::top_k(std::size_t k) const {
+  // Rank on the merged byte sums first; build intervals and site counts for
+  // the k winners only.
+  using Entry = const std::pair<const FiveTuple, KeyState>*;
+  const auto ahead = [](Entry a, Entry b) {
+    const double x = a->second.bytes.sum();
+    const double y = b->second.bytes.sum();
+    if (x != y) return x > y;
+    return flowtable::tuple_less(a->first, b->first);
+  };
+  flowtable::TopK<Entry, decltype(ahead)> best(k, keys_.size(), ahead);
+  for (const auto& entry : keys_) best.offer(&entry);
+  const std::vector<Entry> winners = std::move(best).take();
   std::vector<GlobalEstimate> out;
-  out.reserve(keys_.size());
-  for (const auto& [flow, key] : keys_) {
+  out.reserve(winners.size());
+  for (const Entry entry : winners) {
+    const KeyState& key = entry->second;
     GlobalEstimate g;
-    g.flow = flow;
+    g.flow = entry->first;
     g.bytes = key.bytes.sum();
     g.packets = key.packets.sum();
     const core::MergedInterval interval =
@@ -268,12 +272,6 @@ std::vector<GlobalEstimate> Collector::top_k(std::size_t k) const {
         std::bitset<64>(key.site_mask).count());
     out.push_back(g);
   }
-  std::sort(out.begin(), out.end(),
-            [](const GlobalEstimate& a, const GlobalEstimate& b) {
-              if (a.bytes != b.bytes) return a.bytes > b.bytes;
-              return tuple_less(a.flow, b.flow);
-            });
-  if (out.size() > k) out.resize(k);
   return out;
 }
 

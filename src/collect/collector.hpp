@@ -138,8 +138,9 @@ class Collector {
   /// final drain), emitting merged reports for them.  Idempotent.
   void finalize_all();
 
-  /// The k globally-largest flows by merged byte estimate, descending,
-  /// with aggregate confidence intervals.
+  /// The k globally-largest flows by merged byte estimate, in (bytes desc,
+  /// tuple_less) order, with aggregate confidence intervals.  Selects the
+  /// k first and builds intervals for those k only.
   [[nodiscard]] std::vector<GlobalEstimate> top_k(std::size_t k) const;
 
   /// Global totals with an aggregate interval over ALL ingested traffic

@@ -63,6 +63,15 @@ SpoolSource::PollStats SpoolSource::poll(Collector& collector) {
       std::optional<flowtable::ReportReader::Item> item;
       try {
         item = o.reader->next();
+      } catch (const flowtable::ReportRejected&) {
+        // A whole report the reader refused (wrong version, NaN or negative
+        // value): skip exactly its frame and carry on with a fresh reader,
+        // so the site's later reports are still delivered.
+        ++stats.rejected;
+        o.file->offset = static_cast<std::uint64_t>(o.in->tellg());
+        o.reader.emplace(*o.in);
+        progress = true;
+        continue;
       } catch (const std::exception&) {
         // Torn tail: freeze the offset at the last complete report.  If
         // the monitor was mid-flush the bytes complete later and the next

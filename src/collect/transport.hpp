@@ -38,6 +38,7 @@ class SpoolSource {
   struct PollStats {
     std::uint64_t reports = 0;          ///< reports delivered this poll
     std::uint64_t truncated_tails = 0;  ///< files ending mid-report
+    std::uint64_t rejected = 0;         ///< whole reports the reader refused
     std::uint64_t unreadable = 0;       ///< files that could not be opened
   };
 
@@ -45,8 +46,11 @@ class SpoolSource {
   /// order, feeding each into `collector`.  A file's torn tail freezes that
   /// file's offset at the last complete report: if the missing bytes arrive
   /// later (the monitor was mid-flush), the next poll resumes cleanly; if
-  /// they never do, every poll reports the truncation.  Never throws on
-  /// stream damage -- damage is counted, not fatal.
+  /// they never do, every poll reports the truncation.  A whole report the
+  /// reader rejects (flowtable::ReportRejected: wrong version, non-finite or
+  /// negative value) is counted once in `rejected` and skipped; the file
+  /// carries on after it.  Never throws on stream damage -- damage is
+  /// counted, not fatal.
   PollStats poll(Collector& collector);
 
   /// Total complete reports delivered across all polls.

@@ -21,8 +21,8 @@
 //   * DiscoParams     -- base b plus a provisioning factory from an SRAM
 //                        budget (counter bits + largest expected flow); an
 //                        attached DecisionTable (core/decision_table.hpp)
-//                        makes decide/update transcendental-free with
-//                        bit-identical decisions;
+//                        makes decide/update/estimate transcendental-free
+//                        with bit-identical results;
 //   * DiscoCounter    -- a single counter, double-precision math path;
 //   * DiscoArray      -- N counters bit-packed at exactly `bits` per counter
 //                        with overflow accounting;
@@ -66,8 +66,13 @@ class DiscoParams {
   [[nodiscard]] double b() const noexcept { return scale_.b(); }
   [[nodiscard]] const util::GeometricScale& scale() const noexcept { return scale_; }
 
-  /// Unbiased estimate for counter value c (Theorem 1).
+  /// Unbiased estimate for counter value c (Theorem 1).  A table read when
+  /// a DecisionTable covers c: its entries are the exact doubles scale().f
+  /// returns, so the estimate is bit-identical either way.
   [[nodiscard]] double estimate(std::uint64_t c) const noexcept {
+    if (const DecisionTable* t = table_.get(); t && c <= t->c_max()) {
+      return t->f(c);
+    }
     return scale_.f(static_cast<double>(c));
   }
 
@@ -78,11 +83,11 @@ class DiscoParams {
   }
 
   // --- decision-table fast path ----------------------------------------------
-  /// Attaches a precomputed DecisionTable so decide()/update() resolve
-  /// without transcendentals for counter values up to the table's c_max.
-  /// Decisions are bit-identical to the unattached path (same delta, same
-  /// p_d, same RNG consumption), so attaching a table is purely a
-  /// performance choice.  `table` must have been built for this b.
+  /// Attaches a precomputed DecisionTable so decide()/update()/estimate()
+  /// resolve without transcendentals for counter values up to the table's
+  /// c_max.  Results are bit-identical to the unattached path (same delta,
+  /// same p_d, same RNG consumption, same f(c)), so attaching a table is
+  /// purely a performance choice.  `table` must have been built for this b.
   void attach_table(std::shared_ptr<const DecisionTable> table);
 
   /// Builds (or fetches from the process-wide cache) a table covering

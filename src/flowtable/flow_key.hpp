@@ -19,6 +19,19 @@ struct FiveTuple {
   friend bool operator==(const FiveTuple&, const FiveTuple&) = default;
 };
 
+/// Field-wise lexicographic order (src_ip, dst_ip, src_port, dst_port,
+/// protocol).  The tie-break of every top-k in the system -- FlowMonitor,
+/// PipelineMonitor and Collector all rank by (bytes desc, tuple_less), so
+/// equal estimates come out in the same order on every run and platform.
+[[nodiscard]] constexpr bool tuple_less(const FiveTuple& a,
+                                        const FiveTuple& b) noexcept {
+  if (a.src_ip != b.src_ip) return a.src_ip < b.src_ip;
+  if (a.dst_ip != b.dst_ip) return a.dst_ip < b.dst_ip;
+  if (a.src_port != b.src_port) return a.src_port < b.src_port;
+  if (a.dst_port != b.dst_port) return a.dst_port < b.dst_port;
+  return a.protocol < b.protocol;
+}
+
 /// 64-bit mix of the tuple fields (xorshift-multiply avalanche, the same
 /// family as SplitMix64's finaliser).  Deterministic across runs -- flow
 /// placement in the table is part of an experiment's reproducible state.

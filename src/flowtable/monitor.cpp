@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "flowtable/top_k.hpp"
 #include "telemetry/registry.hpp"
 
 namespace disco::flowtable {
@@ -298,18 +299,33 @@ std::optional<FlowMonitor::FlowEstimate> FlowMonitor::query(const FiveTuple& flo
 }
 
 std::vector<FlowMonitor::FlowEstimate> FlowMonitor::top_k(std::size_t k) const {
-  std::vector<FlowEstimate> all;
-  all.reserve(table_.size());
-  table_.for_each([&](std::uint32_t slot, const FiveTuple& key) {
-    all.push_back(FlowEstimate{key, volume_.estimate(slot), size_.estimate(slot)});
+  // Both estimator families map the raw volume counter through one strictly
+  // increasing function shared by the whole array -- DISCO's f(c) under the
+  // array's current b (RescaleB re-derives b for every counter at once),
+  // additive c * 2^s -- and distinct counters map to distinct doubles
+  // (f(c+1) - f(c) = b^c >= 1).  So ranking raw counters ranks estimates
+  // exactly: select on counters, then estimate the k winners only.
+  struct Ranked {
+    std::uint64_t counter;
+    std::uint32_t slot;
+  };
+  const std::vector<FiveTuple>& keys = table_.keys();
+  const auto ahead = [&keys](const Ranked& a, const Ranked& b) {
+    if (a.counter != b.counter) return a.counter > b.counter;
+    return tuple_less(keys[a.slot], keys[b.slot]);
+  };
+  TopK<Ranked, decltype(ahead)> best(k, table_.size(), ahead);
+  table_.for_each([&](std::uint32_t slot, const FiveTuple&) {
+    best.offer(Ranked{volume_.value(slot), slot});
   });
-  const std::size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(take),
-                    all.end(), [](const FlowEstimate& a, const FlowEstimate& b) {
-                      return a.bytes > b.bytes;
-                    });
-  all.resize(take);
-  return all;
+  const std::vector<Ranked> winners = std::move(best).take();
+  std::vector<FlowEstimate> out;
+  out.reserve(winners.size());
+  for (const Ranked& r : winners) {
+    out.push_back(FlowEstimate{keys[r.slot], volume_.estimate(r.slot),
+                               size_.estimate(r.slot)});
+  }
+  return out;
 }
 
 FlowMonitor::Totals FlowMonitor::totals() const {
@@ -335,16 +351,20 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
   sync_pressure_counters();
   EpochReport report;
   report.epoch = epoch_;
-  report.totals = totals();
   report.pressure = pressure_;
   report.volume_b = volume_.effective_b();
   report.size_b = size_.effective_b();
   report.volume_error_unit = volume_.error_unit();
   report.size_error_unit = size_.error_unit();
   report.flows.reserve(table_.size());
+  // One slot-order pass builds the records and sums the totals, in the same
+  // order totals() sums them.
+  report.totals.flows = table_.size();
   table_.for_each([&](std::uint32_t slot, const FiveTuple& key) {
-    report.flows.push_back(
-        FlowEstimate{key, volume_.estimate(slot), size_.estimate(slot)});
+    const FlowEstimate flow{key, volume_.estimate(slot), size_.estimate(slot)};
+    report.totals.bytes += flow.bytes;
+    report.totals.packets += flow.packets;
+    report.flows.push_back(flow);
   });
   table_.clear();
   volume_.reset();

@@ -113,7 +113,9 @@ class FlowMonitor {
   std::vector<FlowEstimate> evict_idle(std::uint64_t now_ns,
                                        std::uint64_t idle_timeout_ns);
 
-  /// The k flows with the largest estimated byte volume, descending.
+  /// The k flows with the largest estimated byte volume, in (bytes desc,
+  /// tuple_less) order.  Ranks on the raw volume counters with a size-k
+  /// heap and estimates only the winners: O(flows log k), O(k) memory.
   [[nodiscard]] std::vector<FlowEstimate> top_k(std::size_t k) const;
 
   /// Totals across all tracked flows.

@@ -31,37 +31,37 @@ template <typename T>
   return value;
 }
 
-// A decoded total, estimate, base or error unit: finite and non-negative,
-// or the whole report is malformed.  One NaN would otherwise poison every
-// sum the collector serves while its interval still reads valid.
-[[nodiscard]] double get_amount(std::istream& in) {
-  const auto value = get<double>(in);
-  if (!std::isfinite(value) || value < 0.0) {
-    throw std::runtime_error("report_io: non-finite or negative value");
-  }
-  return value;
-}
-
 // Body shared by read_report and ReportReader: everything after the magic.
+// The whole frame is read before any value is judged -- its length depends
+// only on the record count -- so a report that is complete but wrong leaves
+// the stream at its framed end (ReportRejected), while missing bytes stay a
+// plain truncation error.
 [[nodiscard]] ReportReader::Item read_after_magic(std::istream& in) {
-  if (get<std::uint32_t>(in) != kReportVersion) {
-    throw std::runtime_error("report_io: unsupported version");
-  }
+  const bool known_version = get<std::uint32_t>(in) == kReportVersion;
+  // A decoded total, estimate, base or error unit: finite and non-negative,
+  // or the whole report is malformed.  One NaN would otherwise poison every
+  // sum the collector serves while its interval still reads valid.
+  bool in_range = true;
+  const auto amount = [&in, &in_range] {
+    const auto value = get<double>(in);
+    in_range = in_range && std::isfinite(value) && value >= 0.0;
+    return value;
+  };
   ReportReader::Item item;
   FlowMonitor::EpochReport& report = item.report;
   report.epoch = get<std::uint64_t>(in);
   item.site_id = get<std::uint32_t>(in);
-  report.totals.bytes = get_amount(in);
-  report.totals.packets = get_amount(in);
+  report.totals.bytes = amount();
+  report.totals.packets = amount();
   report.totals.flows = static_cast<std::size_t>(get<std::uint64_t>(in));
   report.pressure.flows_rejected = get<std::uint64_t>(in);
   report.pressure.flows_evicted = get<std::uint64_t>(in);
   report.pressure.counters_saturated = get<std::uint64_t>(in);
   report.pressure.rescale_events = get<std::uint64_t>(in);
-  report.volume_b = get_amount(in);
-  report.size_b = get_amount(in);
-  report.volume_error_unit = get_amount(in);
-  report.size_error_unit = get_amount(in);
+  report.volume_b = amount();
+  report.size_b = amount();
+  report.volume_error_unit = amount();
+  report.size_error_unit = amount();
   const auto count = get<std::uint64_t>(in);
   report.flows.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, std::uint64_t{1} << 20)));
@@ -72,9 +72,13 @@ template <typename T>
     flow.flow.src_port = get<std::uint16_t>(in);
     flow.flow.dst_port = get<std::uint16_t>(in);
     flow.flow.protocol = get<std::uint8_t>(in);
-    flow.bytes = get_amount(in);
-    flow.packets = get_amount(in);
+    flow.bytes = amount();
+    flow.packets = amount();
     report.flows.push_back(flow);
+  }
+  if (!known_version) throw ReportRejected("report_io: unsupported version");
+  if (!in_range) {
+    throw ReportRejected("report_io: non-finite or negative value");
   }
   return item;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "flowtable/monitor.hpp"
@@ -29,6 +30,16 @@ namespace disco::flowtable {
 
 inline constexpr std::uint32_t kReportMagic = 0x54505244;  // "DRPT" LE
 inline constexpr std::uint32_t kReportVersion = 3;
+
+/// Thrown for a report whose every byte arrived but which the reader refuses:
+/// a version other than kReportVersion, or a non-finite or negative amount.
+/// Unlike truncation, the stream is left at the report's framed end (its
+/// frame is read as a v3 frame), so a poller can resume there with a fresh
+/// reader and still deliver the reports after it (collect::SpoolSource).
+class ReportRejected : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Writes one epoch report.  `site_id` identifies the producing monitor
 /// process in a multi-site deployment.  Throws std::runtime_error on I/O
@@ -58,10 +69,12 @@ class ReportReader {
   };
 
   /// The next report, or nullopt at a clean end-of-stream.  Throws
-  /// std::runtime_error on truncation or malformed bytes (a wrong version
-  /// or an out-of-range value included); the reader is
-  /// then poisoned (every later call rethrows) because resynchronising
-  /// inside a torn binary stream would risk double-counting.
+  /// std::runtime_error on truncation or malformed bytes -- ReportRejected
+  /// when the report was whole but carried a wrong version or an
+  /// out-of-range value; the reader is then poisoned (every later call
+  /// rethrows) because resynchronising inside a torn binary stream would
+  /// risk double-counting.  After ReportRejected the stream itself sits at
+  /// the rejected report's end, where a fresh reader may pick up.
   [[nodiscard]] std::optional<Item> next();
 
   /// Reports returned so far (spool-offset bookkeeping for pollers).

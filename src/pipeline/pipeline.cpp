@@ -5,17 +5,20 @@
 #include <type_traits>
 #include <utility>
 
+#include "flowtable/top_k.hpp"
 #include "telemetry/registry.hpp"
 #include "util/fault.hpp"
 
 namespace disco::pipeline {
 
-// A synchronous control-plane message.  The caller builds it on its own
-// stack, pushes a pointer through the worker's command ring, and waits; the
-// worker runs the borrowed callable on its FlowMonitor and signals.
-// Commands are serialised by control_mutex_, so at most one is in flight
-// per worker, and the callable may write straight into the caller's frame:
-// the cv handshake orders those writes before the caller reads them.
+// A synchronous control-plane message, shared by every worker of one
+// fan-out.  The caller builds it on its own stack, pushes the same pointer
+// through each target worker's command ring, and waits once; each worker
+// runs the borrowed callable on its FlowMonitor and counts the latch down.
+// Fan-outs are serialised by control_mutex_, so at most one command is in
+// flight per worker, and the callable may write straight into the caller's
+// frame (each worker into its own slot): the latch orders those writes
+// before the caller reads them.
 struct PipelineMonitor::Command {
   /// What the worker does around the callable.  Every kind first flushes
   /// the coalescer's open bursts so the monitor sees recent packets; Drain
@@ -23,39 +26,42 @@ struct PipelineMonitor::Command {
   /// and Stop then ends the worker loop.
   enum class Kind : std::uint8_t { Run, Drain, Stop };
 
-  explicit Command(Kind k) : kind(k) {}
+  Command(Kind k, std::size_t workers) : kind(k), pending(workers) {}
   /// Borrows `fn` (no heap, no copy): it must outlive the command, which it
   /// does because the caller waits for completion before returning.
+  /// fn(worker index, monitor) runs once per target worker.
   template <typename Fn>
-  explicit Command(const Fn& fn)
-      : call([](const void* target, flowtable::FlowMonitor& monitor) {
-          (*static_cast<const Fn*>(target))(monitor);
+  Command(const Fn& fn, std::size_t workers)
+      : call([](const void* target, unsigned worker,
+                flowtable::FlowMonitor& monitor) {
+          (*static_cast<const Fn*>(target))(worker, monitor);
         }),
-        callable(&fn) {}
+        callable(&fn),
+        pending(workers) {}
 
   Kind kind = Kind::Run;
-  void (*call)(const void* target, flowtable::FlowMonitor& monitor) = nullptr;
+  void (*call)(const void* target, unsigned worker,
+               flowtable::FlowMonitor& monitor) = nullptr;
   const void* callable = nullptr;
-  // Completion handshake.  Deliberately a plain std::mutex, not the
-  // annotated util::Mutex: the condition-variable wait needs the std type,
-  // and Thread Safety Analysis cannot model a cv handshake anyway.  The pair
-  // is stack-local to one run_on_worker call and touched by exactly two
-  // threads (requester and worker), so the invariant is structural.
+  // Completion latch.  Deliberately a plain std::mutex, not the annotated
+  // util::Mutex: the condition-variable wait needs the std type, and Thread
+  // Safety Analysis cannot model a cv handshake anyway.  The latch is
+  // stack-local to one fan-out and touched only by its requester and target
+  // workers, so the invariant is structural.
   std::mutex mutex;
   std::condition_variable cv;
-  bool done = false;
+  std::size_t pending;
 
-  void signal() {
+  void count_down() {
     // Notify UNDER the lock: the waiter owns this object (its stack) and
     // destroys it the moment wait() returns, so the notify must complete
     // before the waiter can re-acquire the mutex and wake.
     const std::lock_guard<std::mutex> lock(mutex);
-    done = true;
-    cv.notify_one();
+    if (--pending == 0) cv.notify_one();
   }
   void wait() {
     std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return done; });
+    cv.wait(lock, [this] { return pending == 0; });
   }
 };
 
@@ -65,16 +71,18 @@ struct PipelineMonitor::Command {
 // `coalescer` while the pipeline runs; after stop() the control plane
 // inherits them (the join is the handover).
 struct PipelineMonitor::Worker {
-  Worker(const flowtable::FlowMonitor::Config& monitor_config,
+  Worker(unsigned worker_index,
+         const flowtable::FlowMonitor::Config& monitor_config,
          const BurstCoalescer::Config& coalescer_config, unsigned producers,
          std::size_t ring_capacity)
-      : monitor(monitor_config), coalescer(coalescer_config) {
+      : index(worker_index), monitor(monitor_config), coalescer(coalescer_config) {
     rings.reserve(producers + 1);
     for (unsigned p = 0; p <= producers; ++p) {
       rings.push_back(std::make_unique<SpscRing<Message>>(ring_capacity));
     }
   }
 
+  unsigned index;  ///< position in workers_: the answer slot of a fan-out
   flowtable::FlowMonitor monitor;
   BurstCoalescer coalescer;
   /// Scratch buffer: bursts emitted by the coalescer for one popped batch,
@@ -146,8 +154,8 @@ PipelineMonitor::PipelineMonitor(const Config& config)
   workers_.reserve(config.workers);
   for (unsigned w = 0; w < config.workers; ++w) {
     const auto shard = shard_config(config, w);
-    workers_.push_back(std::make_unique<Worker>(shard, config.coalescer,
-                                                producers_, config.ring_capacity));
+    workers_.push_back(std::make_unique<Worker>(
+        w, shard, config.coalescer, producers_, config.ring_capacity));
     Worker& worker = *workers_.back();
     // One coalescer add() emits at most two bursts (collision close + cap
     // close), so this bound makes the steady-state batch loop allocation-free.
@@ -339,9 +347,11 @@ void PipelineMonitor::handle_command(Worker& worker, Command& command) {
     }
   }
   worker.coalescer.flush(apply);
-  if (command.call != nullptr) command.call(command.callable, worker.monitor);
+  if (command.call != nullptr) {
+    command.call(command.callable, worker.index, worker.monitor);
+  }
   if (command.kind == Command::Kind::Stop) worker.stop_requested = true;
-  command.signal();
+  command.count_down();
 }
 
 void PipelineMonitor::worker_loop(Worker& worker) {
@@ -392,8 +402,7 @@ void PipelineMonitor::worker_loop(Worker& worker) {
   }
 }
 
-void PipelineMonitor::run_on_worker(unsigned w, Command& command) {
-  Worker& worker = *workers_[w];
+void PipelineMonitor::post(Worker& worker, Command& command) {
   if (!running_) {
     // Workers joined (stop() happened-before): safe to run inline.
     handle_command(worker, command);
@@ -404,18 +413,24 @@ void PipelineMonitor::run_on_worker(unsigned w, Command& command) {
   msg.command = &command;
   unsigned spins = 0;
   while (!ring.try_push(msg)) backoff(spins);
+}
+
+void PipelineMonitor::fan_out(Command& command) {
+  for (auto& worker : workers_) post(*worker, command);
   command.wait();
 }
 
-template <typename Ask, typename Fold>
-void PipelineMonitor::for_each_worker(const Ask& ask, const Fold& fold) {
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    std::invoke_result_t<const Ask&, flowtable::FlowMonitor&> answer{};
-    auto run = [&](flowtable::FlowMonitor& monitor) { answer = ask(monitor); };
-    Command command(run);
-    run_on_worker(w, command);
-    fold(answer);
-  }
+template <typename Ask>
+auto PipelineMonitor::for_each_worker(const Ask& ask)
+    -> std::vector<std::invoke_result_t<const Ask&, flowtable::FlowMonitor&>> {
+  std::vector<std::invoke_result_t<const Ask&, flowtable::FlowMonitor&>>
+      answers(workers_.size());
+  auto run = [&](unsigned w, flowtable::FlowMonitor& monitor) {
+    answers[w] = ask(monitor);
+  };
+  Command command(run, workers_.size());
+  fan_out(command);
+  return answers;
 }
 
 void PipelineMonitor::subscribe(
@@ -427,15 +442,23 @@ void PipelineMonitor::subscribe(
 
 PipelineMonitor::EpochReport PipelineMonitor::rotate() {
   const util::MutexLock lock(control_mutex_);
+  std::vector<EpochReport> parts =
+      for_each_worker([](flowtable::FlowMonitor& m) { return m.rotate(); });
+  // Shards hold disjoint flows, so their reports concatenate in worker
+  // order.  Worker 0's records seed the merged vector and each part is freed
+  // as it is folded, so no flow is held twice for longer than its own copy.
+  std::size_t total = 0;
+  for (const EpochReport& part : parts) total += part.flows.size();
   EpochReport merged;
-  for_each_worker([](flowtable::FlowMonitor& m) { return m.rotate(); },
-                  [&merged](const EpochReport& part) {
-                    merged.epoch = part.epoch;  // shards rotate in lockstep
-                    // Shards hold disjoint flows, so their reports concatenate.
-                    merged.flows.insert(merged.flows.end(), part.flows.begin(),
-                                        part.flows.end());
-                    merged.merge_summary(part);
-                  });
+  merged.flows = std::exchange(parts.front().flows, {});
+  merged.flows.reserve(total);
+  for (EpochReport& part : parts) {
+    merged.epoch = part.epoch;  // shards rotate in lockstep
+    merged.flows.insert(merged.flows.end(), part.flows.begin(),
+                        part.flows.end());
+    std::vector<FlowEstimate>().swap(part.flows);
+    merged.merge_summary(part);
+  }
   // Subscribers run on the rotating (control-plane) thread while ingest
   // continues on the workers; module work never stalls the packet path.
   for (const auto& subscriber : subscribers_) subscriber(merged);
@@ -445,16 +468,20 @@ PipelineMonitor::EpochReport PipelineMonitor::rotate() {
 PipelineMonitor::PressureStats PipelineMonitor::pressure() {
   const util::MutexLock lock(control_mutex_);
   PressureStats sum;
-  for_each_worker([](const flowtable::FlowMonitor& m) { return m.pressure(); },
-                  [&sum](const PressureStats& part) { sum += part; });
+  for (const PressureStats& part : for_each_worker(
+           [](const flowtable::FlowMonitor& m) { return m.pressure(); })) {
+    sum += part;
+  }
   return sum;
 }
 
 PipelineMonitor::Totals PipelineMonitor::totals() {
   const util::MutexLock lock(control_mutex_);
   Totals sum;
-  for_each_worker([](const flowtable::FlowMonitor& m) { return m.totals(); },
-                  [&sum](const Totals& part) { sum += part; });
+  for (const Totals& part : for_each_worker(
+           [](const flowtable::FlowMonitor& m) { return m.totals(); })) {
+    sum += part;
+  }
   return sum;
 }
 
@@ -462,41 +489,52 @@ std::optional<PipelineMonitor::FlowEstimate> PipelineMonitor::query(
     const FiveTuple& flow) {
   const util::MutexLock lock(control_mutex_);
   std::optional<FlowEstimate> estimate;
-  auto lookup = [&](const flowtable::FlowMonitor& m) { estimate = m.query(flow); };
-  Command command(lookup);
-  run_on_worker(worker_of(flow, static_cast<unsigned>(workers_.size())), command);
+  auto lookup = [&](unsigned, const flowtable::FlowMonitor& m) {
+    estimate = m.query(flow);
+  };
+  Command command(lookup, 1);
+  post(*workers_[worker_of(flow, static_cast<unsigned>(workers_.size()))],
+       command);
+  command.wait();
   return estimate;
 }
 
 std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::top_k(std::size_t k) {
   const util::MutexLock lock(control_mutex_);
-  std::vector<FlowEstimate> all;
-  for_each_worker([k](const flowtable::FlowMonitor& m) { return m.top_k(k); },
-                  [&all](const std::vector<FlowEstimate>& part) {
-                    all.insert(all.end(), part.begin(), part.end());
-                  });
-  const std::size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(take),
-                    all.end(), [](const FlowEstimate& a, const FlowEstimate& b) {
-                      return a.bytes > b.bytes;
-                    });
-  all.resize(take);
-  return all;
+  const std::vector<std::vector<FlowEstimate>> parts = for_each_worker(
+      [k](const flowtable::FlowMonitor& m) { return m.top_k(k); });
+  // Every worker's winners are its own top k, so the global top k is among
+  // them; rank them in the same (bytes desc, tuple_less) order.
+  const auto ahead = [](const FlowEstimate& a, const FlowEstimate& b) {
+    if (a.bytes != b.bytes) return a.bytes > b.bytes;
+    return flowtable::tuple_less(a.flow, b.flow);
+  };
+  std::size_t offered = 0;
+  for (const auto& part : parts) offered += part.size();
+  flowtable::TopK<FlowEstimate, decltype(ahead)> best(k, offered, ahead);
+  for (const auto& part : parts) {
+    for (const FlowEstimate& flow : part) best.offer(flow);
+  }
+  return std::move(best).take();
 }
 
 PipelineMonitor::MemoryReport PipelineMonitor::memory() {
   const util::MutexLock lock(control_mutex_);
   MemoryReport sum;
-  for_each_worker([](const flowtable::FlowMonitor& m) { return m.memory(); },
-                  [&sum](const MemoryReport& part) { sum += part; });
+  for (const MemoryReport& part : for_each_worker(
+           [](const flowtable::FlowMonitor& m) { return m.memory(); })) {
+    sum += part;
+  }
   return sum;
 }
 
 std::uint64_t PipelineMonitor::packets_seen() {
   const util::MutexLock lock(control_mutex_);
   std::uint64_t sum = 0;
-  for_each_worker([](const flowtable::FlowMonitor& m) { return m.packets_seen(); },
-                  [&sum](std::uint64_t part) { sum += part; });
+  for (const std::uint64_t part : for_each_worker(
+           [](const flowtable::FlowMonitor& m) { return m.packets_seen(); })) {
+    sum += part;
+  }
   return sum;
 }
 
@@ -504,32 +542,27 @@ std::vector<PipelineMonitor::FlowEstimate> PipelineMonitor::evict_idle(
     std::uint64_t now_ns, std::uint64_t idle_timeout_ns) {
   const util::MutexLock lock(control_mutex_);
   std::vector<FlowEstimate> evicted;
-  for_each_worker(
-      [now_ns, idle_timeout_ns](flowtable::FlowMonitor& m) {
-        return m.evict_idle(now_ns, idle_timeout_ns);
-      },
-      [&evicted](const std::vector<FlowEstimate>& part) {
-        evicted.insert(evicted.end(), part.begin(), part.end());
-      });
+  for (const auto& part : for_each_worker(
+           [now_ns, idle_timeout_ns](flowtable::FlowMonitor& m) {
+             return m.evict_idle(now_ns, idle_timeout_ns);
+           })) {
+    evicted.insert(evicted.end(), part.begin(), part.end());
+  }
   return evicted;
 }
 
 void PipelineMonitor::drain() {
   const util::MutexLock lock(control_mutex_);
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Kind::Drain);
-    run_on_worker(w, command);
-  }
+  Command command(Command::Kind::Drain, workers_.size());
+  fan_out(command);
 }
 
 void PipelineMonitor::stop() {
   const util::MutexLock lock(control_mutex_);
   if (!running_) return;
   accepting_.store(false, std::memory_order_release);
-  for (unsigned w = 0; w < workers_.size(); ++w) {
-    Command command(Command::Kind::Stop);
-    run_on_worker(w, command);
-  }
+  Command command(Command::Kind::Stop, workers_.size());
+  fan_out(command);
   for (std::thread& thread : threads_) thread.join();
   threads_.clear();
   running_ = false;

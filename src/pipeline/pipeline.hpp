@@ -24,8 +24,10 @@
 //     command ring and execute ON the worker thread, between batches.
 //     Rotation and top-k therefore never stop ingest and never touch a
 //     shard from outside -- the shard has exactly one thread, ever.  Each
-//     operation is one callable run on every worker's FlowMonitor in turn
-//     (for_each_worker), whose answers the caller folds into the result.
+//     operation is one callable posted to every worker's command ring at
+//     once (for_each_worker): the workers run it concurrently, one latch
+//     tells the caller they are all done, and the caller folds their
+//     answers in worker order.
 //   * Backpressure is explicit: a full ring either drops the packet
 //     (`Backpressure::Drop`, counted) or spins the producer until space
 //     frees (`Backpressure::Block`) -- the two policies of a real NIC queue.
@@ -49,6 +51,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "flowtable/monitor.hpp"
@@ -134,11 +137,13 @@ class PipelineMonitor {
   // holding it -- e.g. from inside another control call on the same thread).
 
   /// Ends the epoch on every shard and merges the reports.  Shards rotate
-  /// one after another on their own threads; concurrent packets land in the
-  /// old or new epoch of their shard.  Registered epoch subscribers observe
-  /// the MERGED report exactly once per rotate, on the CALLING thread (not a
-  /// worker), while control_mutex_ is held -- so module state needs no
-  /// locking as long as exports happen on the control-plane thread too.
+  /// concurrently, each on its own thread; concurrent packets land in the
+  /// old or new epoch of their shard.  The merged flows are the shards'
+  /// records concatenated in worker order.  Registered epoch subscribers
+  /// observe the MERGED report exactly once per rotate, on the CALLING
+  /// thread (not a worker), while control_mutex_ is held -- so module state
+  /// needs no locking as long as exports happen on the control-plane thread
+  /// too.
   EpochReport rotate() DISCO_EXCLUDES(control_mutex_);
 
   /// Subscribes a streaming consumer to merged epoch reports (see
@@ -151,6 +156,8 @@ class PipelineMonitor {
   [[nodiscard]] Totals totals() DISCO_EXCLUDES(control_mutex_);
   [[nodiscard]] std::optional<FlowEstimate> query(const FiveTuple& flow)
       DISCO_EXCLUDES(control_mutex_);
+  /// The k heaviest flows across all shards, in FlowMonitor::top_k's
+  /// (bytes desc, tuple_less) order: the merge of every shard's own top k.
   [[nodiscard]] std::vector<FlowEstimate> top_k(std::size_t k)
       DISCO_EXCLUDES(control_mutex_);
   [[nodiscard]] MemoryReport memory() DISCO_EXCLUDES(control_mutex_);
@@ -204,7 +211,7 @@ class PipelineMonitor {
 
  private:
   /// One slot of every ring: a packet, or (command rings only) a borrowed
-  /// pointer to a synchronous command the worker fills and signals.  Which
+  /// pointer to a synchronous command the worker runs and counts down.  Which
   /// union member is live is decided by the ring, not the message: packet
   /// rings carry `hash` (the producer already hashed the tuple to route it,
   /// and the worker's coalescer and flow table reuse it instead of
@@ -225,15 +232,20 @@ class PipelineMonitor {
   void worker_loop(Worker& worker);
   void process_batch(Worker& worker, const Message* batch, std::size_t n);
   void handle_command(Worker& worker, Command& command);
-  /// Sends `command` to worker `w`'s command ring and waits for completion;
-  /// runs it inline when the workers are stopped.
-  void run_on_worker(unsigned w, Command& command) DISCO_REQUIRES(control_mutex_);
-  /// The control-plane fan-out, one worker after another: `ask(FlowMonitor&)`
-  /// runs on the worker's own thread against its shard, and its answer is
-  /// handed to `fold` on the calling thread, so every merge happens where
-  /// the caller's result lives.  Defined in pipeline.cpp, its only user.
-  template <typename Ask, typename Fold>
-  void for_each_worker(const Ask& ask, const Fold& fold)
+  /// Pushes `command` onto `worker`'s command ring without waiting; runs it
+  /// inline when the workers are stopped.  The caller then waits on the
+  /// command's latch.
+  void post(Worker& worker, Command& command) DISCO_REQUIRES(control_mutex_);
+  /// Posts `command` to every worker first, then waits for all of them:
+  /// the workers run it concurrently, each on its own thread.
+  void fan_out(Command& command) DISCO_REQUIRES(control_mutex_);
+  /// The control-plane fan-out: `ask(FlowMonitor&)` runs on every worker's
+  /// own thread against its shard, all workers at once, and the answers
+  /// come back in worker order, so every fold the caller makes of them is
+  /// deterministic.  Defined in pipeline.cpp, its only user.
+  template <typename Ask>
+  auto for_each_worker(const Ask& ask)
+      -> std::vector<std::invoke_result_t<const Ask&, flowtable::FlowMonitor&>>
       DISCO_REQUIRES(control_mutex_);
 
   Config config_;

@@ -10,9 +10,12 @@
 //     reports without error metadata, mixed DISCO+additive fleets,
 //     PressureStats reconciliation, subscriber + ModuleHost integration;
 //   * transports: spool files with torn tails (including DISCO_FAULTS
-//     short-write injection) and the loopback socket path.
+//     short-write injection) and rejected-but-whole reports, and the
+//     loopback socket path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bitset>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "flowtable/report_io.hpp"
 #include "modules/host.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 
 namespace disco::collect {
 namespace {
@@ -435,6 +440,91 @@ TEST(Collector, SubscribersAndModuleHostSeeMergedReports) {
   EXPECT_NE(out.str().find("topports"), std::string::npos);
 }
 
+/// The pre-selection Collector::top_k, kept only as this test's oracle:
+/// build every key's GlobalEstimate (merged sums, Theorem-2 interval, site
+/// count), sort them all by (bytes desc, tuple_less), keep k.  The keys are
+/// re-merged here from the same reports in the same order, so every double
+/// must match bit for bit.
+std::vector<GlobalEstimate> full_sort_top_k(
+    const std::vector<std::pair<std::uint32_t, EpochReport>>& reports,
+    double confidence, std::size_t k) {
+  struct Key {
+    core::MixedEstimateAccumulator bytes;
+    core::MixedEstimateAccumulator packets;
+    std::uint64_t sites = 0;
+  };
+  std::unordered_map<FiveTuple, Key> keys;
+  for (const auto& [site, report] : reports) {
+    for (const auto& flow : report.flows) {
+      Key& key = keys[flow.flow];
+      key.bytes.add_multiplicative(flow.bytes, report.volume_b);
+      key.packets.add_multiplicative(flow.packets, report.size_b);
+      key.sites |= std::uint64_t{1} << site;
+    }
+  }
+  std::vector<GlobalEstimate> all;
+  for (const auto& [flow, key] : keys) {
+    GlobalEstimate g;
+    g.flow = flow;
+    g.bytes = key.bytes.sum();
+    g.packets = key.packets.sum();
+    const core::MergedInterval interval = key.bytes.interval(confidence);
+    g.bytes_low = interval.low;
+    g.bytes_high = interval.high;
+    g.interval_valid = interval.valid;
+    g.sites = static_cast<std::uint32_t>(std::bitset<64>(key.sites).count());
+    all.push_back(g);
+  }
+  std::sort(all.begin(), all.end(),
+            [](const GlobalEstimate& a, const GlobalEstimate& b) {
+              if (a.bytes != b.bytes) return a.bytes > b.bytes;
+              return flowtable::tuple_less(a.flow, b.flow);
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+TEST(Collector, TopKMatchesFullSortOracle) {
+  // Three sites (site ids = registration order, so the oracle's site bits
+  // line up), overlapping keys, different bases, and planted ties: 40 flows
+  // share one byte value, so the tuple tie-break decides the cut.
+  util::Rng rng(515);
+  std::vector<std::pair<std::uint32_t, EpochReport>> reports;
+  for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
+    for (std::uint32_t site = 0; site < 3; ++site) {
+      std::vector<FlowSpec> flows;
+      for (std::uint32_t id = 0; id < 300; ++id) {
+        if (!rng.bernoulli(0.5)) continue;
+        const double bytes =
+            id < 40 ? 777.0 : static_cast<double>(rng.uniform_u64(1, 5000));
+        flows.push_back({id, bytes, 1.0 + static_cast<double>(id % 7)});
+      }
+      reports.emplace_back(site,
+                           make_report(epoch, 1.02 + 0.01 * site, flows));
+    }
+  }
+  Collector collector;
+  for (const auto& [site, report] : reports) collector.ingest(site, report);
+
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{10},
+                              std::size_t{45}, collector.tracked_flows(),
+                              collector.tracked_flows() + 5}) {
+    const auto expected =
+        full_sort_top_k(reports, collector.config().confidence, k);
+    const auto actual = collector.top_k(k);
+    ASSERT_EQ(actual.size(), expected.size()) << "k=" << k;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].flow, expected[i].flow) << "k=" << k << " i=" << i;
+      EXPECT_EQ(actual[i].bytes, expected[i].bytes) << "k=" << k << " i=" << i;
+      EXPECT_EQ(actual[i].packets, expected[i].packets) << "k=" << k;
+      EXPECT_EQ(actual[i].bytes_low, expected[i].bytes_low) << "k=" << k;
+      EXPECT_EQ(actual[i].bytes_high, expected[i].bytes_high) << "k=" << k;
+      EXPECT_EQ(actual[i].interval_valid, expected[i].interval_valid);
+      EXPECT_EQ(actual[i].sites, expected[i].sites) << "k=" << k;
+    }
+  }
+}
+
 TEST(Collector, MergedEpochReportFusesDuplicateKeys) {
   Collector collector;
   std::vector<EpochReport> emitted;
@@ -511,6 +601,68 @@ TEST(SpoolSource, TornTailFreezesOffsetThenResumes) {
   EXPECT_DOUBLE_EQ(collector.totals().bytes, 30.0);
   ASSERT_EQ(collector.sites().size(), 1u);
   EXPECT_EQ(collector.sites()[0].duplicates, 0u);
+}
+
+TEST(SpoolSource, RejectedReportIsSkippedNotTreatedAsTornTail) {
+  // Four whole reports from one site; the second carries a NaN flow.  The
+  // reader rejects it, but its frame is complete, so the poller counts it
+  // once, skips exactly those bytes, and still delivers report 4 (a torn
+  // tail would have frozen the file before report 2 forever).
+  TempFile spool("collect_spool_rejected.bin");
+  const double nan = std::nan("");
+  for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
+    const std::uint32_t id = epoch == 3 ? 7 : 1;
+    const double bytes = epoch == 1   ? nan
+                         : epoch == 3 ? 100.0
+                                      : 10.0 * static_cast<double>(epoch + 1);
+    append_bytes(spool.path(),
+                 serialized(make_report(epoch, 1.05, {{id, bytes, 1.0}}), 0));
+  }
+  Collector collector;
+  SpoolSource source({spool.path()});
+  auto stats = source.poll(collector);
+  EXPECT_EQ(stats.reports, 3u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.truncated_tails, 0u);
+  EXPECT_EQ(source.reports_delivered(), 3u);
+
+  // The rejection is not re-counted, and nothing is re-delivered.
+  stats = source.poll(collector);
+  EXPECT_EQ(stats.reports, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.truncated_tails, 0u);
+
+  collector.finalize_all();
+  EXPECT_EQ(collector.reports_ingested(), 3u);
+  EXPECT_DOUBLE_EQ(collector.totals().bytes, 10.0 + 30.0 + 100.0);
+  const auto top = collector.top_k(1);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].flow, tuple(7));  // report 4's flow arrived
+}
+
+TEST(SpoolSource, RejectedReportMidFileThenTornTail) {
+  // A rejection followed by a torn tail: the rejection is skipped, the tear
+  // freezes the offset right after it, and the completed tail resumes.
+  TempFile spool("collect_spool_rejected_torn.bin");
+  append_bytes(spool.path(),
+               serialized(make_report(0, 1.05, {{1, -5.0, 1.0}}), 0));
+  const std::string whole =
+      serialized(make_report(1, 1.05, {{2, 20.0, 1.0}}), 0);
+  append_bytes(spool.path(), whole.substr(0, 7));
+  Collector collector;
+  SpoolSource source({spool.path()});
+  auto stats = source.poll(collector);
+  EXPECT_EQ(stats.reports, 0u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.truncated_tails, 1u);
+
+  append_bytes(spool.path(), whole.substr(7));
+  stats = source.poll(collector);
+  EXPECT_EQ(stats.reports, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.truncated_tails, 0u);
+  collector.finalize_all();
+  EXPECT_DOUBLE_EQ(collector.totals().bytes, 20.0);
 }
 
 TEST(SpoolSource, MissingFileRetriesWithoutFailing) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace disco::core {
 namespace {
@@ -210,6 +212,52 @@ TEST(DiscoParams, MergeSaturatesInsteadOfOverflowingAtExtremeCounters) {
   // And an ordinary in-range merge still moves the counter: absorbing
   // f(20) into c = 10 must land well above 10.
   EXPECT_GT(params.merge(10, 20, rng), 10u);
+}
+
+/// Bit pattern of a double, so the comparison below is exact (no -0.0 ==
+/// 0.0 or NaN slack).
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// estimate(c) with a table attached must be bit-equal to the scalar f(c)
+/// for every c in [0, c_max + 2]: table reads inside, scalar fallback past
+/// the edge.
+void expect_table_estimate_bit_equal(const DiscoParams& with_table) {
+  const DecisionTable* table = with_table.decision_table();
+  ASSERT_NE(table, nullptr);
+  const DiscoParams scalar(with_table.b());
+  ASSERT_EQ(scalar.decision_table(), nullptr);
+  for (std::uint64_t c = 0; c <= table->c_max() + 2; ++c) {
+    ASSERT_EQ(bits_of(with_table.estimate(c)), bits_of(scalar.estimate(c)))
+        << "b=" << with_table.b() << " c=" << c;
+  }
+}
+
+TEST(DiscoParams, TableEstimateIsBitEqualToScalarEverywhere) {
+  for (const int bits : {6, 8, 10, 12}) {
+    for (const std::uint64_t max_flow :
+         {std::uint64_t{1} << 16, std::uint64_t{1} << 32}) {
+      DiscoParams params = DiscoParams::for_budget(max_flow, bits);
+      params.attach_table((std::uint64_t{1} << bits) - 1);
+      expect_table_estimate_bit_equal(params);
+    }
+  }
+}
+
+TEST(DiscoArray, TableEstimateIsBitEqualBeforeAndAfterRescale) {
+  DiscoArray array(4, 8, std::uint64_t{1} << 16);
+  array.attach_decision_table();
+  array.enable_rescale(2.0, 4);
+  expect_table_estimate_bit_equal(array.params());
+  const double b_before = array.params().b();
+  util::Rng rng(17);
+  for (int i = 0; i < 200; ++i) array.add(0, 4096, rng);
+  ASSERT_GT(array.rescale_count(), 0u);
+  ASSERT_GT(array.params().b(), b_before);
+  expect_table_estimate_bit_equal(array.params());
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    EXPECT_EQ(bits_of(array.estimate(i)),
+              bits_of(DiscoParams(array.params().b()).estimate(array.value(i))));
+  }
 }
 
 TEST(BurstAggregator, AccumulatesUntilFlush) {

@@ -3,7 +3,8 @@
 // SpscRing as data, so their ordering against surrounding messages is the
 // correctness property -- a rotate lands exactly between the packets pushed
 // before and after it.  The completion side (worker fills a result the
-// issuer then reads) is a publish/subscribe handshake on a flag.
+// issuer then reads) is a publish/subscribe handshake on a flag; a fan-out
+// to several workers shares one countdown latch.
 //
 // Compiled with DISCO_MODELCHECK=1; see test_modelcheck_ring.cpp for the
 // harness conventions.
@@ -144,4 +145,74 @@ TEST(ModelCheckCommand, CompletionHandshakeRelaxedDoneIsFlagged) {
       << "a relaxed completion store must be reported as a race on result";
   EXPECT_NE(r.report.find("DATA RACE"), std::string::npos) << r.report;
   EXPECT_NE(r.report.find("cmd.result"), std::string::npos) << r.report;
+}
+
+namespace {
+
+/// The fan-out handshake from pipeline.cpp (for_each_worker), reduced to
+/// its memory protocol: the requester posts ONE command to both workers
+/// before it waits, then waits on one countdown latch; each worker writes
+/// its own answer slot and counts the latch down (acq_rel, so the last
+/// count carries every earlier worker's write with it).  The requester
+/// reads the answers only once the latch is at zero.  The buggy twin reads
+/// as soon as ONE worker has counted down -- before the other worker's
+/// completion is published.  The post itself is the thread-create edge
+/// here (the command is written before the workers start): the ring push
+/// that carries it in pipeline.cpp is the handshake that
+/// CompletionHandshakeExhaustive already explores, and three threads
+/// spinning on rings would multiply the tree far past the execution cap.
+struct FanOut {
+  util::shared<std::uint64_t> arg;
+  util::shared<std::uint64_t> answer[2];
+  util::atomic<std::uint64_t> pending{2};
+};
+
+template <bool kBuggy>
+verify::Result explore_fan_out() {
+  verify::Options opts;
+  opts.exhaustive = true;
+  opts.preemption_bound = 2;
+  opts.max_executions = 500000;
+  return verify::explore(opts, [] {
+    FanOut cmd;
+    verify::label(&cmd.pending, "fanout.pending");
+    verify::label(&cmd.answer[0], "fanout.answer0");
+    verify::label(&cmd.answer[1], "fanout.answer1");
+    cmd.arg = 7;  // the command, posted to both workers
+    std::uint64_t sum = 0;
+    const auto worker = [&cmd](unsigned w) {
+      cmd.answer[w] = static_cast<std::uint64_t>(cmd.arg) * (w + 2);
+      cmd.pending.fetch_sub(1, std::memory_order_acq_rel);
+    };
+    verify::run_threads({
+        [&] {  // requester: one wait for the whole fan-out
+          const std::uint64_t done_at = kBuggy ? 1 : 0;
+          while (cmd.pending.load(std::memory_order_acquire) > done_at) {
+            verify::spin_yield();
+          }
+          sum = static_cast<std::uint64_t>(cmd.answer[0]) +
+                static_cast<std::uint64_t>(cmd.answer[1]);
+        },
+        [&] { worker(0); },
+        [&] { worker(1); },
+    });
+    verify::mc_check(sum == 7 * 2 + 7 * 3,
+                     "requester must read both workers' answers");
+  });
+}
+
+}  // namespace
+
+TEST(ModelCheckCommand, FanOutLatchExhaustive) {
+  verify::Result r = explore_fan_out<false>();
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.pruned, 0u);
+}
+
+TEST(ModelCheckCommand, FanOutReadBeforeLastCompletionIsFlagged) {
+  verify::Result r = explore_fan_out<true>();
+  ASSERT_TRUE(r.failed)
+      << "reading an answer before its worker counted down must be flagged";
+  EXPECT_NE(r.report.find("fanout.answer"), std::string::npos) << r.report;
 }

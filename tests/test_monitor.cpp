@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "trace/synthetic.hpp"
 #include "util/math.hpp"
 
@@ -175,6 +178,119 @@ TEST(FlowMonitor, IngestBatchMatchesSequentialBursts) {
     EXPECT_EQ(batched.pressure().flows_evicted,
               sequential.pressure().flows_evicted);
   }
+}
+
+/// The full "estimate all, sort all" top-k that FlowMonitor::top_k replaced,
+/// kept only as this test's oracle: every tracked flow's estimates, fully
+/// sorted by (bytes desc, tuple_less), cut to k.
+std::vector<FlowMonitor::FlowEstimate> estimate_all_sort_all(
+    const FlowMonitor& monitor, std::size_t k) {
+  std::vector<FlowMonitor::FlowEstimate> all;
+  monitor.table().for_each([&](std::uint32_t, const FiveTuple& key) {
+    all.push_back(*monitor.query(key));
+  });
+  std::sort(all.begin(), all.end(),
+            [](const FlowMonitor::FlowEstimate& a,
+               const FlowMonitor::FlowEstimate& b) {
+              if (a.bytes != b.bytes) return a.bytes > b.bytes;
+              return tuple_less(a.flow, b.flow);
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+/// top_k(k) must equal the oracle bit for bit for k in {0, 1, a cut inside
+/// the planted ties, size, > size}.
+void expect_top_k_matches_oracle(const FlowMonitor& monitor) {
+  const std::size_t size = monitor.table().size();
+  ASSERT_GT(size, 20u);
+  for (const std::size_t k :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, size / 2, size,
+        size + 3}) {
+    const auto expected = estimate_all_sort_all(monitor, k);
+    const auto actual = monitor.top_k(k);
+    ASSERT_EQ(actual.size(), expected.size()) << "k=" << k;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i].flow, expected[i].flow) << "k=" << k << " i=" << i;
+      EXPECT_EQ(actual[i].bytes, expected[i].bytes) << "k=" << k << " i=" << i;
+      EXPECT_EQ(actual[i].packets, expected[i].packets)
+          << "k=" << k << " i=" << i;
+    }
+  }
+}
+
+/// Mixed traffic with planted counter ties: flows 0..59 each receive the
+/// same single burst, so many share one raw volume counter and only the
+/// tuple order separates them; flows 60..199 get varied traffic.
+void feed_with_ties(FlowMonitor& monitor, std::uint64_t seed,
+                    std::uint64_t now_ns = 0) {
+  util::Rng rng(seed);
+  for (std::uint32_t f = 0; f < 60; ++f) {
+    (void)monitor.ingest_burst(tuple(f), 1500, 1, now_ns);
+  }
+  for (int i = 0; i < 4000; ++i) {
+    const auto f = static_cast<std::uint32_t>(rng.uniform_u64(60, 199));
+    (void)monitor.ingest_burst(tuple(f), rng.uniform_u64(40, 1500), 1, now_ns);
+  }
+}
+
+TEST(FlowMonitorTopK, MatchesOracleUnderDisco) {
+  FlowMonitor monitor(small_config());
+  feed_with_ties(monitor, 1);
+  // The planted ties are real: some neighbours in the full order share a
+  // byte estimate, so the tuple tie-break is exercised.
+  const auto all = estimate_all_sort_all(monitor, monitor.table().size());
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    if (all[i].bytes == all[i - 1].bytes) ++ties;
+  }
+  EXPECT_GT(ties, 5u);
+  expect_top_k_matches_oracle(monitor);
+}
+
+TEST(FlowMonitorTopK, MatchesOracleUnderAdditiveError) {
+  FlowMonitor::Config config = small_config();
+  config.estimator = EstimatorKind::AdditiveError;
+  config.counter_bits = 10;  // narrow enough that the array scales up
+  FlowMonitor monitor(config);
+  feed_with_ties(monitor, 2);
+  EXPECT_GT(monitor.pressure().rescale_events, 0u);
+  expect_top_k_matches_oracle(monitor);
+}
+
+TEST(FlowMonitorTopK, MatchesOracleAfterMidEpochRescaleB) {
+  FlowMonitor::Config config = small_config();
+  config.counter_bits = 8;
+  config.max_flow_bytes = 1 << 16;
+  config.pressure.saturation = SaturationPolicy::RescaleB;
+  FlowMonitor monitor(config);
+  feed_with_ties(monitor, 3);
+  const double b_before = monitor.rotate().volume_b;  // epoch 0 at base b
+  feed_with_ties(monitor, 4);
+  // One elephant drives the volume array past its width mid-epoch: b grows
+  // for every counter already in the table, and more traffic follows.
+  for (int i = 0; i < 600; ++i) (void)monitor.ingest_burst(tuple(500), 9000, 1);
+  feed_with_ties(monitor, 5);
+  EXPECT_GT(monitor.pressure().rescale_events, 0u);
+  EXPECT_EQ(monitor.top_k(1).front().flow, tuple(500));
+  expect_top_k_matches_oracle(monitor);
+  EXPECT_LT(b_before, monitor.rotate().volume_b);
+}
+
+TEST(FlowMonitorTopK, MatchesOracleWithSlotHolesAfterEvictIdle) {
+  FlowMonitor monitor(small_config());
+  feed_with_ties(monitor, 7, /*now_ns=*/1'000);
+  // Refresh half the flows, then evict the stale half: freed slots leave
+  // holes in slot order, and a few new flows reuse some of them.
+  for (std::uint32_t f = 0; f < 200; f += 2) {
+    (void)monitor.ingest_burst(tuple(f), 100, 1, 5'000);
+  }
+  const auto evicted = monitor.evict_idle(6'000, 2'000);
+  EXPECT_EQ(evicted.size(), 100u);
+  for (std::uint32_t f = 1000; f < 1030; ++f) {
+    (void)monitor.ingest_burst(tuple(f), 1500, 1, 7'000);
+  }
+  expect_top_k_matches_oracle(monitor);
 }
 
 }  // namespace

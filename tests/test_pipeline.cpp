@@ -10,7 +10,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/disco.hpp"
@@ -573,6 +575,152 @@ TEST(PipelineMonitor, TopKMergesAcrossWorkers) {
   EXPECT_EQ(top[0].flow, tuple(7));
   EXPECT_GE(top[0].bytes, top[1].bytes);
   EXPECT_GE(top[1].bytes, top[2].bytes);
+}
+
+/// (bytes desc, tuple_less): the order every top-k in the system uses.
+bool ranks_ahead(const FlowMonitor::FlowEstimate& a,
+                 const FlowMonitor::FlowEstimate& b) {
+  if (a.bytes != b.bytes) return a.bytes > b.bytes;
+  return flowtable::tuple_less(a.flow, b.flow);
+}
+
+void expect_same_rows(const std::vector<FlowMonitor::FlowEstimate>& actual,
+                      const std::vector<FlowMonitor::FlowEstimate>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].flow, expected[i].flow) << "row " << i;
+    EXPECT_EQ(actual[i].bytes, expected[i].bytes) << "row " << i;
+    EXPECT_EQ(actual[i].packets, expected[i].packets) << "row " << i;
+  }
+}
+
+/// A trace with planted ties: flows 0..39 carry identical traffic (40 x
+/// 1000 bytes), flows 40..239 random amounts.
+std::vector<std::pair<FiveTuple, std::uint32_t>> tied_trace(std::uint64_t seed) {
+  std::vector<std::pair<FiveTuple, std::uint32_t>> trace;
+  for (int round = 0; round < 40; ++round) {
+    for (std::uint32_t f = 0; f < 40; ++f) trace.emplace_back(tuple(f), 1000);
+  }
+  util::Rng rng(seed);
+  for (int i = 0; i < 12000; ++i) {
+    trace.emplace_back(
+        tuple(static_cast<std::uint32_t>(rng.uniform_u64(40, 239))),
+        static_cast<std::uint32_t>(rng.uniform_u64(40, 1500)));
+  }
+  return trace;
+}
+
+TEST(PipelineMonitor, TopKMatchesOneFlowMonitorOnSameBursts) {
+  // Additive-error counters at scale 0 count exactly, so one FlowMonitor
+  // fed the same packets holds the same estimates however the pipeline
+  // shards them -- ties included, which the merge must break by tuple.
+  const auto trace = tied_trace(31);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    auto config = pipeline_config(workers, 1);
+    config.base.estimator = flowtable::EstimatorKind::AdditiveError;
+    config.base.counter_bits = 32;
+    config.telemetry_prefix = "pipeline_topk_" + std::to_string(workers);
+    FlowMonitor::Config single = config.base;
+    single.telemetry_prefix = "pipeline_topk_single";
+    FlowMonitor reference(single);
+    PipelineMonitor pipeline(config);
+    for (const auto& [flow, len] : trace) {
+      ASSERT_TRUE(reference.ingest(flow, len));
+      ASSERT_TRUE(pipeline.ingest(0, flow, len));
+    }
+    pipeline.drain();
+    EXPECT_EQ(reference.pressure().rescale_events, 0u);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{25}, std::size_t{240},
+                                std::size_t{500}}) {
+      SCOPED_TRACE(k);
+      expect_same_rows(pipeline.top_k(k), reference.top_k(k));
+    }
+  }
+}
+
+TEST(PipelineMonitor, TopKMatchesPerShardOracleUnderDisco) {
+  // DISCO shards draw from their own RNG streams, so the reference is one
+  // FlowMonitor per shard (as in EstimateParityWithFlowMonitor); the oracle
+  // estimates every flow of every shard and sorts them all.
+  const auto trace = tied_trace(32);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    auto config = pipeline_config(workers, 1);
+    config.coalescer.slots = 0;  // per-packet updates, deterministic stream
+    config.telemetry_prefix = "pipeline_topk_disco_" + std::to_string(workers);
+    std::vector<FlowMonitor> shards;
+    for (unsigned w = 0; w < workers; ++w) {
+      auto shard = PipelineMonitor::shard_config(config, w);
+      shard.telemetry_prefix += "_reference";
+      shards.emplace_back(shard);
+    }
+    PipelineMonitor pipeline(config);
+    for (const auto& [flow, len] : trace) {
+      ASSERT_TRUE(shards[PipelineMonitor::worker_of(flow, workers)].ingest(flow, len));
+      ASSERT_TRUE(pipeline.ingest(0, flow, len));
+    }
+    pipeline.drain();
+    std::vector<FlowMonitor::FlowEstimate> all;
+    for (const FlowMonitor& shard : shards) {
+      shard.table().for_each([&](std::uint32_t, const FiveTuple& key) {
+        all.push_back(*shard.query(key));
+      });
+    }
+    std::sort(all.begin(), all.end(), ranks_ahead);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{25}, all.size(),
+                                all.size() + 5}) {
+      SCOPED_TRACE(k);
+      std::vector<FlowMonitor::FlowEstimate> expected(
+          all.begin(), all.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(k, all.size())));
+      expect_same_rows(pipeline.top_k(k), expected);
+    }
+  }
+}
+
+TEST(PipelineMonitor, RotateConcatenatesShardReportsInWorkerOrder) {
+  // Workers rotate concurrently, yet the merged report is the shards'
+  // reports folded in worker order: records concatenated shard by shard,
+  // totals summed in that order -- so its DRPT bytes are deterministic.
+  auto config = pipeline_config(4, 1);
+  config.coalescer.slots = 0;
+  config.telemetry_prefix = "pipeline_rotate_order";
+  std::vector<FlowMonitor> shards;
+  for (unsigned w = 0; w < config.workers; ++w) {
+    auto shard = PipelineMonitor::shard_config(config, w);
+    shard.telemetry_prefix += "_reference";
+    shards.emplace_back(shard);
+  }
+  PipelineMonitor pipeline(config);
+  const auto trace = tied_trace(33);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    SCOPED_TRACE(epoch);
+    for (const auto& [flow, len] : trace) {
+      ASSERT_TRUE(
+          shards[PipelineMonitor::worker_of(flow, config.workers)].ingest(flow, len));
+      ASSERT_TRUE(pipeline.ingest(0, flow, len));
+    }
+    pipeline.drain();
+    FlowMonitor::EpochReport expected;
+    for (FlowMonitor& shard : shards) {
+      const auto part = shard.rotate();
+      expected.epoch = part.epoch;
+      expected.flows.insert(expected.flows.end(), part.flows.begin(),
+                            part.flows.end());
+      expected.merge_summary(part);
+    }
+    const auto merged = pipeline.rotate();
+    EXPECT_EQ(merged.epoch, expected.epoch);
+    expect_same_rows(merged.flows, expected.flows);
+    EXPECT_EQ(merged.totals.bytes, expected.totals.bytes);
+    EXPECT_EQ(merged.totals.packets, expected.totals.packets);
+    EXPECT_EQ(merged.totals.flows, expected.totals.flows);
+    EXPECT_EQ(merged.volume_b, expected.volume_b);
+    EXPECT_EQ(merged.size_b, expected.size_b);
+  }
 }
 
 TEST(PipelineMonitor, MemoryIsSumOfWorkerShards) {

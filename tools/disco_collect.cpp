@@ -229,6 +229,11 @@ int main(int argc, char** argv) {
       std::cerr << "warning: " << stats.truncated_tails
                 << " spool file(s) end mid-report (torn tail discarded)\n";
     }
+    if (stats.rejected > 0) {
+      std::cerr << "warning: " << stats.rejected
+                << " spool report(s) rejected as malformed (skipped; later"
+                   " reports still ingested)\n";
+    }
     if (stats.unreadable > 0) {
       std::cerr << "warning: " << stats.unreadable
                 << " spool file(s) could not be read\n";
