@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/additive.hpp"
 #include "core/disco.hpp"
 #include "core/disco_fixed.hpp"
 #include "counters/anls.hpp"
@@ -180,33 +179,6 @@ std::vector<disco::flowtable::FiveTuple> sample_tuples(std::size_t n) {
   return tuples;
 }
 
-// --- estimator A/B ----------------------------------------------------------
-// DiscoArray vs AdditiveErrorArray on the identical slot/length stream --
-// the per-update cost behind bench_pipeline's estimator ablation.  The
-// additive array's occasional halve-all rescale walks are included (and
-// amortised over the long benchmark loop, the regime the estimator is
-// designed for; bench_pipeline's short windows show the other regime).
-
-void BM_AdditiveArrayBatch(benchmark::State& state) {
-  // Mirror of BM_DiscoArrayBatch: one add_batch-shaped pass over 512
-  // counters per iteration, so the two numbers are directly comparable.
-  constexpr std::size_t kBatch = 512;
-  const auto lens = packet_lengths();
-  disco::core::AdditiveErrorArray array(kBatch, kBits);
-  disco::util::Rng rng(1);
-  std::size_t items = 0;
-  for (auto _ : state) {
-    for (std::size_t s = 0; s < kBatch; ++s) {
-      array.add(s, lens[s & 4095], rng);
-    }
-    items += kBatch;
-    benchmark::DoNotOptimize(array);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(items));
-  state.counters["rescales"] =
-      static_cast<double>(array.rescale_count());
-}
-
 // --- tag-probe A/B ----------------------------------------------------------
 // The SIMD group probe against the portable scalar byte loop, same template
 // with the engine flipped (flowtable/tag_probe.hpp), on a table at the
@@ -365,7 +337,6 @@ BENCHMARK(BM_Sac);
 BENCHMARK(BM_AnlsII);
 BENCHMARK(BM_SdExact);
 BENCHMARK(BM_BurstAggregated);
-BENCHMARK(BM_AdditiveArrayBatch);
 BENCHMARK(BM_TagProbeFind<true>)->Name("BM_TagProbeFindSimd");
 BENCHMARK(BM_TagProbeFind<false>)->Name("BM_TagProbeFindScalar");
 BENCHMARK(BM_TagProbeChurn<true>)->Name("BM_TagProbeChurnSimd");

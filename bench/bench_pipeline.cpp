@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "modules/host.hpp"
 #include "pipeline/pipeline.hpp"
 #include "util/rng.hpp"
 #include "util/atomic.hpp"
@@ -84,8 +83,6 @@ struct RunResult {
 /// Pipeline knobs the ablation varies; defaults match the headline run.
 struct PipelineOptions {
   bool batched_ingest = true;  ///< producers use ingest_batch (rx-burst)
-  disco::flowtable::EstimatorKind estimator =
-      disco::flowtable::EstimatorKind::Disco;
 };
 
 /// Producer batch size for the batched-ingest path: one NIC rx-burst worth
@@ -97,7 +94,6 @@ RunResult run_pipeline(unsigned producers, std::uint64_t packets_per_producer,
   using namespace disco;
   pipeline::PipelineMonitor::Config config;
   config.base = base_config();
-  config.base.estimator = options.estimator;
   config.workers = producers;  // one shard-owning worker per producer
   config.producers = producers;
   config.ring_capacity = 1u << 14;
@@ -166,75 +162,6 @@ RunResult run_pipeline_best(unsigned producers,
   return best;
 }
 
-/// Module-overhead ablation: the same pipeline run, but the main thread
-/// rotates `rotations` times at packet-count thresholds (polled through the
-/// control plane) while producers ingest -- once with no subscribers, once
-/// with the full built-in module set attached.  Both arms pay for the
-/// rotations and the polling; the delta is what the analysis layer costs.
-RunResult run_pipeline_with_modules(unsigned producers,
-                                    std::uint64_t packets_per_producer,
-                                    unsigned rotations, bool with_modules) {
-  using namespace disco;
-  pipeline::PipelineMonitor::Config config;
-  config.base = base_config();
-  config.workers = producers;
-  config.producers = producers;
-  config.ring_capacity = 1u << 14;
-  config.backpressure = pipeline::Backpressure::Block;
-  config.coalescer.slots = 64;
-  pipeline::PipelineMonitor monitor(config);
-
-  modules::ModuleHost host("bench_modules");
-  if (with_modules) {
-    for (auto& module : modules::make_modules("all")) {
-      host.attach(std::move(module));
-    }
-    host.subscribe_to(monitor);
-  }
-
-  const std::uint64_t total_packets =
-      static_cast<std::uint64_t>(producers) * packets_per_producer;
-  disco::util::atomic<std::uint64_t> total_bytes{0};
-  std::vector<std::thread> threads;
-  const auto start = Clock::now();
-  for (unsigned p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      BurstSource source(p);
-      std::uint64_t bytes = 0;
-      for (std::uint64_t i = 0; i < packets_per_producer; ++i) {
-        const auto pkt = source.next();
-        (void)monitor.ingest(p, pkt.flow, pkt.length);
-        bytes += pkt.length;
-      }
-      total_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    });
-  }
-  // Rotate mid-stream at evenly spaced packet thresholds (the last interval
-  // is closed after drain, below).
-  unsigned rotated = 0;
-  while (rotated + 1 < rotations) {
-    if (monitor.packets_seen() >=
-        (rotated + 1) * (total_packets / rotations)) {
-      (void)monitor.rotate();
-      ++rotated;
-    } else {
-      std::this_thread::yield();
-    }
-    if (monitor.packets_seen() >= total_packets) break;
-  }
-  for (auto& t : threads) t.join();
-  monitor.drain();
-  (void)monitor.rotate();
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - start).count();
-
-  RunResult r;
-  r.mpps = static_cast<double>(total_packets) / elapsed / 1e6;
-  r.gbps = static_cast<double>(total_bytes.load(std::memory_order_relaxed)) * 8.0 / elapsed / 1e9;
-  r.coalesced = monitor.coalesced();
-  return r;
-}
-
 /// Strips `--json=<path>` from argv; returns the path ("" when absent).
 std::string parse_json_flag(int* argc, char** argv) {
   std::string path;
@@ -254,13 +181,6 @@ struct MainRow {
   unsigned producers;
   RunResult pipe;
   double coalesce_ratio;
-};
-
-struct ModuleRow {
-  unsigned producers;
-  unsigned rotations;
-  RunResult without;
-  RunResult with;
 };
 
 struct AblationRow {
@@ -320,24 +240,20 @@ int main(int argc, char** argv) {
   }
 
   // --- ingest ablation -------------------------------------------------------
-  // The throughput frontier, one lever at a time, starting from per-packet
-  // producer ingest: batched producer ingest (hash + bucket + span commit),
-  // then the estimator family.  Workers always take the monitor's one
-  // batched walk, and the tag-probe engine is compile-time (simd_isa below;
-  // see bench_micro_update for the SIMD-vs-scalar probe A/B).  One
+  // The throughput frontier: per-packet producer ingest, then batched
+  // producer ingest (hash + bucket + span commit).  Workers always take the
+  // monitor's one batched walk, and the tag-probe engine is compile-time
+  // (simd_isa below; see bench_micro_update for the SIMD-vs-scalar probe
+  // A/B).  One
   // producer/worker pair: the lever effects are per-core, and adding pairs
   // on an oversubscribed host only adds scheduler noise.
   constexpr int kAblationRepeats = 5;
   std::cout << "\ningest ablation (1 producer, best of " << kAblationRepeats
             << " runs, probe engine: " << flowtable::tagprobe::isa_name()
             << "):\n";
-  using disco::flowtable::EstimatorKind;
   std::vector<AblationRow> ablation_rows = {
       {"per-packet ingest", {.batched_ingest = false}, {}},
       {"+ batched ingest", {.batched_ingest = true}, {}},
-      {"additive estimator",
-       {.batched_ingest = true, .estimator = EstimatorKind::AdditiveError},
-       {}},
   };
   stats::TextTable abl({"configuration", "Mpps", "Gbps", "vs per-packet"});
   for (AblationRow& row : ablation_rows) {
@@ -350,38 +266,7 @@ int main(int argc, char** argv) {
   }
   abl.print(std::cout);
   std::cout << "(batched ingest amortises the ring's release store and the\n"
-               "routing hash over an rx-burst.  The additive estimator's per-update\n"
-               "cost is lower than DISCO's, but its halve-all rescale walks\n"
-               "are amortised over the epoch: short measurement windows like\n"
-               "this one pay the O(slots) scale ramp up front, long ones --\n"
-               "see bench_micro_update's estimator A/B -- come out ahead.)\n";
-
-  // --- module-overhead ablation ---------------------------------------------
-  // Same pipeline, rotating mid-stream: once with no epoch subscribers, once
-  // with all built-in analysis modules attached.  Modules run on the
-  // control-plane thread at rotate(), so ingest throughput should be nearly
-  // untouched -- this section is the number that claim rests on
-  // (docs/modules.md, EXPERIMENTS.md).
-  constexpr unsigned kRotations = 8;
-  std::cout << "\nmodule-overhead ablation (" << kRotations
-            << " rotations mid-stream, all built-in modules):\n";
-  std::vector<ModuleRow> module_rows;
-  stats::TextTable mods({"producers", "no-modules Mpps", "modules Mpps",
-                         "overhead"});
-  for (unsigned producers : {1u, 2u}) {
-    const RunResult without = run_pipeline_with_modules(
-        producers, packets_per_producer, kRotations, false);
-    const RunResult with = run_pipeline_with_modules(
-        producers, packets_per_producer, kRotations, true);
-    module_rows.push_back({producers, kRotations, without, with});
-    const double overhead = without.mpps > 0.0
-                                ? (without.mpps - with.mpps) / without.mpps
-                                : 0.0;
-    mods.add_row({std::to_string(producers), stats::fmt(without.mpps, 2),
-                  stats::fmt(with.mpps, 2),
-                  stats::fmt(overhead * 100.0, 1) + "%"});
-  }
-  mods.print(std::cout);
+               "routing hash over an rx-burst.)\n";
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -405,25 +290,9 @@ int main(int argc, char** argv) {
       out << "    {\"label\": \"" << r.label << "\""
           << ", \"batched_ingest\": "
           << (r.options.batched_ingest ? "true" : "false")
-          << ", \"estimator\": \""
-          << (r.options.estimator == EstimatorKind::AdditiveError ? "additive"
-                                                                  : "disco")
-          << "\", \"mpps\": " << r.result.mpps
+          << ", \"mpps\": " << r.result.mpps
           << ", \"gbps\": " << r.result.gbps << "}"
           << (i + 1 < ablation_rows.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n  \"modules\": [\n";
-    for (std::size_t i = 0; i < module_rows.size(); ++i) {
-      const ModuleRow& r = module_rows[i];
-      const double overhead =
-          r.without.mpps > 0.0 ? (r.without.mpps - r.with.mpps) / r.without.mpps
-                               : 0.0;
-      out << "    {\"producers\": " << r.producers
-          << ", \"rotations\": " << r.rotations
-          << ", \"no_modules_mpps\": " << r.without.mpps
-          << ", \"modules_mpps\": " << r.with.mpps
-          << ", \"overhead\": " << overhead << "}"
-          << (i + 1 < module_rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     if (!out) {

@@ -2,62 +2,14 @@
 
 #include <algorithm>
 #include <bitset>
-#include <cmath>
 #include <utility>
 
-#include "core/theory.hpp"
 #include "flowtable/top_k.hpp"
 #include "telemetry/registry.hpp"
 
 namespace disco::collect {
-namespace {
 
 using FlowEstimate = flowtable::FlowMonitor::FlowEstimate;
-
-// The error model one report declares for one of its two metric axes
-// (bytes come from the volume array, packets from the size array).
-struct ErrorModel {
-  enum class Kind { kMultiplicative, kAdditive, kUnbounded };
-  Kind kind = Kind::kMultiplicative;
-  double b = 1.0;     // kMultiplicative: effective DISCO base (1 = exact)
-  double unit = 0.0;  // kAdditive: counting grid of additive_error_sd
-};
-
-[[nodiscard]] ErrorModel axis_model(double b, double error_unit) {
-  if (error_unit > 0.0) {
-    return {ErrorModel::Kind::kAdditive, 1.0, error_unit};
-  }
-  if (b >= 1.0) return {ErrorModel::Kind::kMultiplicative, b, 0.0};
-  // No error metadata (an in-process report that never set it): merge the
-  // estimate, but serve no interval rather than a guessed one.
-  return {ErrorModel::Kind::kUnbounded, 0.0, 0.0};
-}
-
-// Folds one per-flow estimate into an accumulator under the report's error
-// model.  `packets_hint` bounds the number of randomized roundings behind an
-// additive-error estimate: each packet update rounds once, so the flow's
-// (estimated) packet count is the natural bound (docs/collector.md).
-void fold_estimate(core::MixedEstimateAccumulator& acc, double estimate,
-                   const ErrorModel& model, double packets_hint) {
-  switch (model.kind) {
-    case ErrorModel::Kind::kMultiplicative:
-      acc.add_multiplicative(estimate, model.b);
-      break;
-    case ErrorModel::Kind::kAdditive: {
-      const long long rounded = std::llround(packets_hint);
-      const std::uint64_t roundings =
-          rounded > 0 ? static_cast<std::uint64_t>(rounded) : 1;
-      acc.add_additive(estimate,
-                       core::theory::additive_error_sd(model.unit, roundings));
-      break;
-    }
-    case ErrorModel::Kind::kUnbounded:
-      acc.add_unbounded(estimate);
-      break;
-  }
-}
-
-}  // namespace
 
 Collector::Collector(CollectorConfig config) : config_(std::move(config)) {
   auto& registry = telemetry::Registry::global();
@@ -93,15 +45,12 @@ bool Collector::site_lagging(const SiteState& site) const {
 }
 
 void Collector::fold_report(SiteState& site, const EpochReport& report) {
-  const ErrorModel volume =
-      axis_model(report.volume_b, report.volume_error_unit);
-  const ErrorModel size = axis_model(report.size_b, report.size_error_unit);
   const std::uint64_t site_bit =
       site.index < 64 ? (std::uint64_t{1} << site.index) : 0;
   for (const FlowEstimate& flow : report.flows) {
     // Totals stay exact past the key cap: fold before admission.
-    fold_estimate(total_bytes_, flow.bytes, volume, flow.packets);
-    fold_estimate(total_packets_, flow.packets, size, flow.packets);
+    total_bytes_.add_multiplicative(flow.bytes, report.volume_b);
+    total_packets_.add_multiplicative(flow.packets, report.size_b);
     auto it = keys_.find(flow.flow);
     if (it == keys_.end()) {
       if (keys_.size() >= config_.max_tracked_flows) {
@@ -112,17 +61,13 @@ void Collector::fold_report(SiteState& site, const EpochReport& report) {
       it = keys_.emplace(flow.flow, KeyState{}).first;
     }
     KeyState& key = it->second;
-    fold_estimate(key.bytes, flow.bytes, volume, flow.packets);
-    fold_estimate(key.packets, flow.packets, size, flow.packets);
+    key.bytes.add_multiplicative(flow.bytes, report.volume_b);
+    key.packets.add_multiplicative(flow.packets, report.size_b);
     key.site_mask |= site_bit;
   }
   tracked_metric_->set(static_cast<std::int64_t>(keys_.size()));
   site.status.volume_b = std::max(site.status.volume_b, report.volume_b);
   site.status.size_b = std::max(site.status.size_b, report.size_b);
-  site.status.volume_error_unit =
-      std::max(site.status.volume_error_unit, report.volume_error_unit);
-  site.status.size_error_unit =
-      std::max(site.status.size_error_unit, report.size_error_unit);
   max_volume_b_ = std::max(max_volume_b_, report.volume_b);
   // PressureStats on the wire are cumulative per site; keep the newest.
   if (report.epoch >= site.pressure_epoch) {

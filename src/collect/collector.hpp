@@ -5,11 +5,10 @@
 // over a spool file or a socket (collect/transport.hpp).  The Collector folds them into one global view:
 //
 //   * unbiased cross-site merge at the estimate level
-//     (core/estimate_merge.hpp) -- sites may run different counter widths,
-//     drift apart under RescaleB, or use additive-error estimators; each
-//     contribution is weighted into the per-flow variance bound with ITS
-//     OWN error metadata, so global top-k answers carry honest Theorem 2
-//     aggregate confidence intervals;
+//     (core/estimate_merge.hpp) -- sites may run different counter widths
+//     or drift apart under RescaleB; each contribution is weighted into the
+//     per-flow variance bound with ITS OWN effective base, so global top-k
+//     answers carry honest Theorem 2 aggregate confidence intervals;
 //   * per-site liveness / lag / epoch-gap tracking: a site whose highest
 //     epoch trails the fleet by more than `liveness_window` epochs is
 //     marked lagging and stops gating epoch finalisation;
@@ -76,10 +75,8 @@ struct SiteStatus {
   std::uint64_t highwater_epoch = 0; ///< highest epoch seen (if seen)
   std::uint64_t lag_epochs = 0;      ///< collector highwater - site highwater
   bool lagging = false;              ///< lag_epochs > liveness_window
-  double volume_b = 0.0;             ///< max effective bases / error units
+  double volume_b = 0.0;             ///< max effective bases
   double size_b = 0.0;               ///  observed from this site
-  double volume_error_unit = 0.0;
-  double size_error_unit = 0.0;
   flowtable::PressureStats pressure{};  ///< cumulative, at latest epoch
 };
 
@@ -114,10 +111,10 @@ class Collector {
   };
 
   /// Folds one site report into the global state.  A report without
-  /// error metadata (volume_b/size_b below 1 and no additive error unit --
-  /// possible only for one built in-process) still merges unbiasedly but
-  /// marks the affected intervals invalid.  Never throws on stream-hygiene
-  /// issues -- those are the return value -- only on programmer error.
+  /// error metadata (volume_b/size_b below 1 -- possible only for one
+  /// built in-process) still merges unbiasedly but marks the affected
+  /// intervals invalid.  Never throws on stream-hygiene issues -- those are
+  /// the return value -- only on programmer error.
   IngestResult ingest(std::uint32_t site_id, const EpochReport& report);
   /// Convenience for transport code: ingest a ReportReader item.
   IngestResult ingest(const flowtable::ReportReader::Item& item) {

@@ -267,16 +267,27 @@ struct ReportServer::Impl {
     FdInBuf buf(fd);
     std::istream in(&buf);
     flowtable::ReportReader reader(in);
-    try {
-      while (auto item = reader.next()) {
+    for (;;) {
+      try {
+        const auto item = reader.next();
+        if (!item) break;  // client closed cleanly between reports
         util::MutexLock lock(ingest_mutex_);
         collector_.ingest(*item);
+      } catch (const flowtable::ReportRejected&) {
+        // A whole report the reader refused (wrong version, NaN or negative
+        // value, nonzero reserved field): the stream sits at its framed
+        // end, so skip it and keep reading with a fresh reader, as
+        // SpoolSource::poll does.
+        reader = flowtable::ReportReader(in);
+        util::MutexLock lock(state_mutex_);
+        ++rejected_;
+      } catch (const std::exception&) {
+        // Torn stream (client died mid-report / stop() cut the socket):
+        // everything before the tear was ingested; the tear is counted.
+        util::MutexLock lock(state_mutex_);
+        ++truncated_;
+        break;
       }
-    } catch (const std::exception&) {
-      // Torn stream (client died mid-report / stop() cut the socket):
-      // everything before the tear was ingested; the tear is counted.
-      util::MutexLock lock(state_mutex_);
-      ++truncated_;
     }
     {
       util::MutexLock lock(state_mutex_);
@@ -299,10 +310,13 @@ struct ReportServer::Impl {
       // the fds and will close them on the EOF this produces.
       for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
     }
+    // shutdown() fails the acceptor's blocked accept(); the fd is closed only
+    // once the acceptor has stopped reading it, so it can never accept on a
+    // closed (or reused) descriptor.
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (acceptor_.joinable()) acceptor_.join();
     close_fd(listen_fd_);
     listen_fd_ = -1;
-    if (acceptor_.joinable()) acceptor_.join();
     for (auto& handler : handlers_) {
       if (handler.joinable()) handler.join();
     }
@@ -315,6 +329,7 @@ struct ReportServer::Impl {
   std::vector<int> conn_fds_ DISCO_GUARDED_BY(state_mutex_);
   std::uint64_t accepted_ DISCO_GUARDED_BY(state_mutex_) = 0;
   std::uint64_t truncated_ DISCO_GUARDED_BY(state_mutex_) = 0;
+  std::uint64_t rejected_ DISCO_GUARDED_BY(state_mutex_) = 0;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread acceptor_;
@@ -342,6 +357,11 @@ std::uint64_t ReportServer::connections_accepted() const noexcept {
 std::uint64_t ReportServer::truncated_streams() const noexcept {
   util::MutexLock lock(impl_->state_mutex_);
   return impl_->truncated_;
+}
+
+std::uint64_t ReportServer::rejected_reports() const noexcept {
+  util::MutexLock lock(impl_->state_mutex_);
+  return impl_->rejected_;
 }
 
 }  // namespace disco::collect

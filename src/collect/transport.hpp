@@ -14,8 +14,8 @@
 //     the framing is the DRPT format itself.
 //
 // Both transports carry the one DRPT wire version; a report in any other
-// version, or with out-of-range values, is malformed stream damage
-// (docs/collector.md).
+// version, or with out-of-range values, is malformed (docs/collector.md).
+// Both skip such a whole report, count it, and keep reading the stream.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,9 @@ class SpoolSource {
   /// later (the monitor was mid-flush), the next poll resumes cleanly; if
   /// they never do, every poll reports the truncation.  A whole report the
   /// reader rejects (flowtable::ReportRejected: wrong version, non-finite or
-  /// negative value) is counted once in `rejected` and skipped; the file
-  /// carries on after it.  Never throws on stream damage -- damage is
-  /// counted, not fatal.
+  /// negative value, nonzero reserved field) is counted once in `rejected`
+  /// and skipped; the file carries on after it.  Never throws on stream
+  /// damage -- damage is counted, not fatal.
   PollStats poll(Collector& collector);
 
   /// Total complete reports delivered across all polls.
@@ -116,6 +116,11 @@ class ReportServer {
   /// Connections that ended mid-report (torn stream): their complete
   /// reports were ingested, the torn tail was discarded and counted.
   [[nodiscard]] std::uint64_t truncated_streams() const noexcept;
+  /// Whole reports the reader refused (flowtable::ReportRejected: wrong
+  /// version, non-finite or negative value, nonzero reserved field).  Each
+  /// is skipped and its connection keeps being read, so the client's later
+  /// reports are still ingested.
+  [[nodiscard]] std::uint64_t rejected_reports() const noexcept;
 
  private:
   struct Impl;

@@ -1,21 +1,19 @@
-// Cross-site merging of flow ESTIMATES with mixed error models.
+// Cross-site merging of flow ESTIMATES with heterogeneous bases.
 //
 // Counter-level merging (core::DiscoParams::merge) requires both counters to
 // share one DiscoParams deployment.  A collector aggregating epoch reports
 // from many monitor processes does not have that luxury: sites run different
-// counter widths, RescaleB drifts their effective bases apart, and some
-// sites may use additive-error counters (core/additive.hpp) instead of
-// DISCO.  What every site exports is an UNBIASED per-flow estimate plus
-// enough error metadata (effective base b, or additive error unit) to bound
-// its variance -- so the collector merges at the estimate level:
+// counter widths, and RescaleB drifts their effective bases apart.  What
+// every site exports is an UNBIASED per-flow estimate plus its effective
+// base b, which bounds its variance -- so the collector merges at the
+// estimate level:
 //
 //   X = sum_i X_i,   E[X] = sum_i n_i = n   (unbiasedness survives the sum)
 //
 // and, because distinct sites consume independent randomness,
 //
-//   Var(X) = sum_i Var(X_i)
-//     <=  sum_{i in DISCO}  e_i^2 * est_i^2     (Theorem 2, e_i = cv_bound(b_i))
-//       + sum_{i in additive} sd_i^2            (additive_error_sd bound)
+//   Var(X) = sum_i Var(X_i)  <=  sum_i e_i^2 * est_i^2
+//                                (Theorem 2, e_i = cv_bound(b_i))
 //
 // MixedEstimateAccumulator tracks exactly (sum, variance bound) and yields
 // the normal-approximation interval for the merged estimate.  This is the
@@ -44,13 +42,15 @@ struct MergedInterval {
   bool valid = true;
 };
 
-/// Streaming accumulator for a sum of independent unbiased estimates with
-/// per-contribution error models.  Copyable POD-style state: a collector
+/// Streaming accumulator for a sum of independent unbiased estimates, each
+/// with its own effective base.  Copyable POD-style state: a collector
 /// keeps one per (flow key, metric).
 class MixedEstimateAccumulator {
  public:
-  /// A DISCO (multiplicative-error) contribution measured at effective base
-  /// `b`.  b == 1 is exact counting (zero variance); b must be >= 1.
+  /// A DISCO contribution measured at effective base `b`.  b == 1 is exact
+  /// counting (zero variance).  A base below 1 or NaN means the report
+  /// carried no error metadata: the sum stays unbiased, the interval is
+  /// invalidated.
   void add_multiplicative(double estimate, double b) {
     sum_ += estimate;
     if (b > 1.0) {
@@ -59,20 +59,6 @@ class MixedEstimateAccumulator {
     } else if (!(b >= 1.0)) {
       valid_ = false;  // unknown base: sum stays unbiased, bound is gone
     }
-  }
-
-  /// An additive-error contribution with standard-deviation bound `sd`
-  /// (core::theory::additive_error_sd).
-  void add_additive(double estimate, double sd) {
-    sum_ += estimate;
-    variance_ += sd * sd;
-  }
-
-  /// An unbiased contribution with NO error metadata (a report whose bases
-  /// were never set): keeps the sum right, invalidates the interval.
-  void add_unbounded(double estimate) {
-    sum_ += estimate;
-    valid_ = false;
   }
 
   void merge(const MixedEstimateAccumulator& other) {

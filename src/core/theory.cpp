@@ -112,11 +112,4 @@ double normal_quantile(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
 }
 
-double additive_error_sd(double unit, std::uint64_t roundings) {
-  // Each randomized rounding on the 2^s grid is mean-zero with variance at
-  // most unit^2 / 4 (Bernoulli rounding: unit^2 * q * (1 - q) <= unit^2/4);
-  // roundings are independent, so variances add.
-  return unit * std::sqrt(static_cast<double>(roundings)) / 2.0;
-}
-
 }  // namespace disco::core::theory

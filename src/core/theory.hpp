@@ -31,15 +31,6 @@ namespace disco::core::theory {
 /// counting total traffic n.
 [[nodiscard]] double expected_counter_upper_bound(double b, double n);
 
-/// Additive-error counters (core/additive.hpp): upper bound on the standard
-/// deviation of the estimate after `roundings` randomized roundings on the
-/// grid `unit` = 2^s (each update contributes one rounding; each halve-all
-/// event contributes one more per counter).  Every rounding has mean zero
-/// and variance at most unit^2 / 4, so sd <= unit * sqrt(roundings) / 2.
-/// Pair with normal_quantile for additive confidence intervals -- the
-/// additive analogue of Theorem 2's multiplicative CV bound.
-[[nodiscard]] double additive_error_sd(double unit, std::uint64_t roundings);
-
 /// Standard normal quantile (probit) via the Acklam rational approximation
 /// (|error| < 1.15e-9 over (0, 1)).  This is the z in every Theorem 2
 /// normal-approximation interval: DiscoParams::confidence_interval uses it

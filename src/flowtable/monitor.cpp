@@ -62,16 +62,13 @@ void put_tuple(std::ostream& out, const FiveTuple& t) {
 FlowMonitor::FlowMonitor(const Config& config)
     : config_(config),
       table_(config.max_flows),
-      volume_(config.estimator, config.max_flows, config.counter_bits,
-              config.max_flow_bytes),
-      size_(config.estimator, config.max_flows, config.counter_bits,
-            config.max_flow_packets),
+      volume_(config.max_flows, config.counter_bits, config.max_flow_bytes),
+      size_(config.max_flows, config.counter_bits, config.max_flow_packets),
       last_seen_ns_(config.max_flows, 0),
       rng_(config.seed),
       pressure_rng_(config.seed ^ kPressureSeedSalt) {
   // Transcendental-free update fast path; decisions stay bit-identical,
   // and the process-wide table cache de-duplicates across shards.
-  // (CounterBank makes this a no-op for the additive estimator.)
   volume_.attach_decision_table();
   size_.attach_decision_table();
   if (config_.pressure.saturation == SaturationPolicy::RescaleB) {
@@ -299,12 +296,12 @@ std::optional<FlowMonitor::FlowEstimate> FlowMonitor::query(const FiveTuple& flo
 }
 
 std::vector<FlowMonitor::FlowEstimate> FlowMonitor::top_k(std::size_t k) const {
-  // Both estimator families map the raw volume counter through one strictly
-  // increasing function shared by the whole array -- DISCO's f(c) under the
-  // array's current b (RescaleB re-derives b for every counter at once),
-  // additive c * 2^s -- and distinct counters map to distinct doubles
-  // (f(c+1) - f(c) = b^c >= 1).  So ranking raw counters ranks estimates
-  // exactly: select on counters, then estimate the k winners only.
+  // DISCO maps the raw volume counter through one strictly increasing
+  // function shared by the whole array -- f(c) under the array's current b
+  // (RescaleB re-derives b for every counter at once) -- and distinct
+  // counters map to distinct doubles (f(c+1) - f(c) = b^c >= 1).  So
+  // ranking raw counters ranks estimates exactly: select on counters, then
+  // estimate the k winners only.
   struct Ranked {
     std::uint64_t counter;
     std::uint32_t slot;
@@ -352,10 +349,8 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
   EpochReport report;
   report.epoch = epoch_;
   report.pressure = pressure_;
-  report.volume_b = volume_.effective_b();
-  report.size_b = size_.effective_b();
-  report.volume_error_unit = volume_.error_unit();
-  report.size_error_unit = size_.error_unit();
+  report.volume_b = volume_.params().b();
+  report.size_b = size_.params().b();
   report.flows.reserve(table_.size());
   // One slot-order pass builds the records and sums the totals, in the same
   // order totals() sums them.
@@ -383,14 +378,6 @@ FlowMonitor::EpochReport FlowMonitor::rotate() {
 }
 
 void FlowMonitor::snapshot(std::ostream& out) const {
-  if (config_.estimator != EstimatorKind::Disco) {
-    // The v3 format stores each array's effective base b -- a DISCO-mode
-    // notion.  Additive deployments are epoch-scoped (rotate() re-exacts
-    // the scale), so checkpointing them has no use case yet; fail loudly
-    // rather than write a snapshot restore() would misinterpret.
-    throw std::runtime_error(
-        "FlowMonitor::snapshot: additive-error estimator is not snapshotable");
-  }
   put(out, kSnapshotMagic);
   put(out, kSnapshotVersion);
   put(out, static_cast<std::uint64_t>(config_.max_flows));
@@ -410,9 +397,9 @@ void FlowMonitor::snapshot(std::ostream& out) const {
   put(out, pressure_.flows_evicted);
   put(out, pressure_.counters_saturated);
   put(out, pressure_.rescale_events);
-  put(out, volume_.effective_b());
+  put(out, volume_.params().b());
   put(out, volume_.rescale_count());
-  put(out, size_.effective_b());
+  put(out, size_.params().b());
   put(out, size_.rescale_count());
   put(out, static_cast<std::uint64_t>(table_.size()));
   // Entries are keyed by flow, not slot: restore re-derives slot numbers, so

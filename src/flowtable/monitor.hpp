@@ -25,7 +25,6 @@
 
 #include "core/disco.hpp"
 #include "flowtable/burst.hpp"
-#include "flowtable/counter_bank.hpp"
 #include "flowtable/flow_table.hpp"
 #include "flowtable/pressure.hpp"
 #include "telemetry/metrics.hpp"
@@ -56,14 +55,6 @@ class FlowMonitor {
     /// RescaleB events and the cumulative PressureStats -- but the restoring
     /// process chooses its own policies).
     PressureConfig pressure{};
-    /// Estimator family for the volume/size counters (counter_bank.hpp):
-    /// DISCO logarithmic counters (default, multiplicative error), or
-    /// additive-error counters (cheaper updates, additive noise floor).
-    /// snapshot()/restore() is DISCO-only; additive mode throws there.
-    /// Under AdditiveError the pressure saturation policy is moot (those
-    /// counters rescale natively by halving; events surface through the
-    /// usual rescale telemetry).
-    EstimatorKind estimator = EstimatorKind::Disco;
   };
 
   explicit FlowMonitor(const Config& config);
@@ -175,29 +166,18 @@ class FlowMonitor {
     /// are conservative for every member flow.
     double volume_b = 0.0;
     double size_b = 0.0;
-    /// Additive-error mode only (Config.estimator == AdditiveError): the
-    /// counting grid 2^s of each array when the report was produced -- the
-    /// `unit` of core::theory::additive_error_sd.  0.0 under DISCO
-    /// estimators (whose error is multiplicative, carried by volume_b /
-    /// size_b).  Merged reports carry the max over their parts, like the
-    /// bases.
-    double volume_error_unit = 0.0;
-    double size_error_unit = 0.0;
 
     /// The one merge policy for epoch-level fields, shared by the pipeline's
     /// worker fan-in and the collector's site fan-in: totals and pressure
-    /// are summed; the bases and error units take the max, because RescaleB
-    /// (and additive scale-ups) diverge them per part and the max keeps
-    /// every derived interval conservative.  `flows` is left to the caller:
-    /// pipeline shards are disjoint and concatenate, collector sites
-    /// overlap and fuse by key.
+    /// are summed; the bases take the max, because RescaleB diverges them
+    /// per part and the max keeps every derived interval conservative.
+    /// `flows` is left to the caller: pipeline shards are disjoint and
+    /// concatenate, collector sites overlap and fuse by key.
     void merge_summary(const EpochReport& part) noexcept {
       totals += part.totals;
       pressure += part.pressure;
       volume_b = std::max(volume_b, part.volume_b);
       size_b = std::max(size_b, part.size_b);
-      volume_error_unit = std::max(volume_error_unit, part.volume_error_unit);
-      size_error_unit = std::max(size_error_unit, part.size_error_unit);
     }
   };
   EpochReport rotate();
@@ -272,8 +252,8 @@ class FlowMonitor {
 
   Config config_;
   FlowTable table_;
-  CounterBank volume_;
-  CounterBank size_;
+  core::DiscoArray volume_;
+  core::DiscoArray size_;
   std::vector<std::uint64_t> last_seen_ns_;
   util::Rng rng_;
   /// Dedicated stream for pressure decisions (victim sampling, RAP coins):

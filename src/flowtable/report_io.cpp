@@ -38,9 +38,9 @@ template <typename T>
 // plain truncation error.
 [[nodiscard]] ReportReader::Item read_after_magic(std::istream& in) {
   const bool known_version = get<std::uint32_t>(in) == kReportVersion;
-  // A decoded total, estimate, base or error unit: finite and non-negative,
-  // or the whole report is malformed.  One NaN would otherwise poison every
-  // sum the collector serves while its interval still reads valid.
+  // A decoded total, estimate or base: finite and non-negative, or the whole
+  // report is malformed.  One NaN would otherwise poison every sum the
+  // collector serves while its interval still reads valid.
   bool in_range = true;
   const auto amount = [&in, &in_range] {
     const auto value = get<double>(in);
@@ -60,8 +60,10 @@ template <typename T>
   report.pressure.rescale_events = get<std::uint64_t>(in);
   report.volume_b = amount();
   report.size_b = amount();
-  report.volume_error_unit = amount();
-  report.size_error_unit = amount();
+  // Two reserved fields (offsets 92 and 100), written as 0.0: a nonzero
+  // byte there is a report this reader does not understand.
+  const bool reserved_zero = get<std::uint64_t>(in) == 0;
+  const bool reserved_zero_too = get<std::uint64_t>(in) == 0;
   const auto count = get<std::uint64_t>(in);
   report.flows.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, std::uint64_t{1} << 20)));
@@ -79,6 +81,9 @@ template <typename T>
   if (!known_version) throw ReportRejected("report_io: unsupported version");
   if (!in_range) {
     throw ReportRejected("report_io: non-finite or negative value");
+  }
+  if (!reserved_zero || !reserved_zero_too) {
+    throw ReportRejected("report_io: nonzero reserved field");
   }
   return item;
 }
@@ -100,8 +105,8 @@ void write_report(std::ostream& out, const FlowMonitor::EpochReport& report,
   put(out, report.pressure.rescale_events);
   put(out, report.volume_b);
   put(out, report.size_b);
-  put(out, report.volume_error_unit);
-  put(out, report.size_error_unit);
+  put(out, std::uint64_t{0});  // reserved
+  put(out, std::uint64_t{0});  // reserved
   put(out, static_cast<std::uint64_t>(report.flows.size()));
   for (const auto& flow : report.flows) {
     put(out, flow.flow.src_ip);

@@ -10,12 +10,12 @@
 //
 // One wire version, kReportVersion (docs/collector.md has the byte-level
 // table): magic, version, epoch, site id, totals, the cumulative
-// PressureStats, the estimator error metadata (effective bases
-// volume_b/size_b, additive error units) -- everything a collector needs to
-// attach Theorem 2 / additive confidence intervals to estimates merged
-// across sites -- then the flow records.  Readers are strict: any other
-// version, and any non-finite or negative total, estimate, base or error
-// unit, is rejected as malformed rather than merged.
+// PressureStats, the effective bases volume_b/size_b -- everything a
+// collector needs to attach Theorem 2 confidence intervals to estimates
+// merged across sites -- two reserved 8-byte fields, then the flow records.
+// Readers are strict: any other version, any non-finite or negative total,
+// estimate or base, and any reserved field that is not all-zero bytes, is
+// rejected as malformed rather than merged.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +32,8 @@ inline constexpr std::uint32_t kReportMagic = 0x54505244;  // "DRPT" LE
 inline constexpr std::uint32_t kReportVersion = 3;
 
 /// Thrown for a report whose every byte arrived but which the reader refuses:
-/// a version other than kReportVersion, or a non-finite or negative amount.
+/// a version other than kReportVersion, a non-finite or negative amount, or
+/// a nonzero reserved field.
 /// Unlike truncation, the stream is left at the report's framed end (its
 /// frame is read as a v3 frame), so a poller can resume there with a fresh
 /// reader and still deliver the reports after it (collect::SpoolSource).
@@ -70,10 +71,10 @@ class ReportReader {
 
   /// The next report, or nullopt at a clean end-of-stream.  Throws
   /// std::runtime_error on truncation or malformed bytes -- ReportRejected
-  /// when the report was whole but carried a wrong version or an
-  /// out-of-range value; the reader is then poisoned (every later call
-  /// rethrows) because resynchronising inside a torn binary stream would
-  /// risk double-counting.  After ReportRejected the stream itself sits at
+  /// when the report was whole but carried a wrong version, an out-of-range
+  /// value or a nonzero reserved field; the reader is then poisoned (every
+  /// later call rethrows) because resynchronising inside a torn binary
+  /// stream would risk double-counting.  After ReportRejected the stream itself sits at
   /// the rejected report's end, where a fresh reader may pick up.
   [[nodiscard]] std::optional<Item> next();
 

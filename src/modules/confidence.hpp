@@ -16,9 +16,9 @@
 // below tracks exactly the two moments the bound needs.
 // Since the collector landed (src/collect, docs/collector.md) the canonical
 // implementation of this bound lives in core/estimate_merge.hpp, which also
-// generalises it to heterogeneous bases and mixed DISCO/additive estimator
-// fleets; interval() below delegates to core::aggregate_interval and is
-// bit-identical to the historical in-place formula.
+// generalises it to heterogeneous bases; interval() below delegates to
+// core::aggregate_interval and is bit-identical to the historical in-place
+// formula.
 #pragma once
 
 #include "core/estimate_merge.hpp"

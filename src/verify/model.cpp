@@ -115,18 +115,6 @@ class DfsController final : public Controller {
 // Per-execution state.
 // ---------------------------------------------------------------------------
 
-const char* order_name(std::memory_order order) {
-  switch (order) {
-    case std::memory_order_relaxed: return "relaxed";
-    case std::memory_order_consume: return "consume";
-    case std::memory_order_acquire: return "acquire";
-    case std::memory_order_release: return "release";
-    case std::memory_order_acq_rel: return "acq_rel";
-    case std::memory_order_seq_cst: return "seq_cst";
-  }
-  return "?";
-}
-
 bool has_acquire(std::memory_order order) {
   return order == std::memory_order_acquire ||
          order == std::memory_order_consume ||
@@ -375,7 +363,6 @@ void Execution::schedule(SchedKind kind) {
     std::abort();
   }
 
-  ThreadCtx& me = self();
   if (kind == SchedKind::kBlocked) {
     unsigned next = pick_runnable(/*exclude_self=*/true);
     if (next == kMaxThreads) {

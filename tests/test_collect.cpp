@@ -1,17 +1,17 @@
 // Unit + adversarial coverage for the aggregation tier (src/collect):
 //
 //   * DRPT v3 wire format: site-id / error-metadata round-trip, strict
-//     rejection of other versions and non-finite / negative values,
-//     streaming ReportReader semantics (clean EOF vs mid-report
-//     truncation, poisoning);
+//     rejection of other versions, non-finite / negative values and
+//     nonzero reserved fields, streaming ReportReader semantics (clean EOF
+//     vs mid-report truncation, poisoning);
 //   * Collector merge semantics: disjoint-site sums, cross-site key fusion
 //     with variance-accounted intervals, duplicate / reordered / late /
 //     lagging-site stream hygiene (traffic counted at most once, always),
-//     reports without error metadata, mixed DISCO+additive fleets,
-//     PressureStats reconciliation, subscriber + ModuleHost integration;
-//   * transports: spool files with torn tails (including DISCO_FAULTS
-//     short-write injection) and rejected-but-whole reports, and the
-//     loopback socket path.
+//     reports without error metadata, PressureStats reconciliation,
+//     subscriber + ModuleHost integration;
+//   * transports: spool files and the loopback socket path, each with
+//     torn streams (including DISCO_FAULTS short-write injection on the
+//     spool) and rejected-but-whole reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -30,6 +31,11 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "collect/collector.hpp"
 #include "collect/transport.hpp"
@@ -71,20 +77,11 @@ EpochReport make_report(std::uint64_t epoch, double b,
   return report;
 }
 
-EpochReport make_additive_report(std::uint64_t epoch, double unit,
-                                 const std::vector<FlowSpec>& flows) {
-  EpochReport report = make_report(epoch, 1.0, flows);
-  report.volume_error_unit = unit;
-  report.size_error_unit = unit;
-  return report;
-}
-
 // --- wire format -------------------------------------------------------------
 
 TEST(ReportIoV3, SiteIdAndErrorMetadataRoundTrip) {
   auto report = make_report(4, 1.0625, {{1, 1000.0, 10.0}, {2, 500.0, 5.0}});
   report.pressure = flowtable::PressureStats{3, 2, 1, 4};
-  report.volume_error_unit = 0.0;
   std::stringstream buf;
   flowtable::write_report(buf, report, /*site_id=*/9);
 
@@ -105,8 +102,9 @@ TEST(ReportIoV3, SiteIdAndErrorMetadataRoundTrip) {
 
 /// Byte layouts the reader must refuse, each after one valid report: the
 /// two retired wire versions (v1: epoch, totals, flows; v2: v1 plus the
-/// pressure block), a newer version header, and v3 reports carrying values
-/// no estimator produces.
+/// pressure block), a newer version header, v3 reports carrying values
+/// no estimator produces, and v3 reports with a nonzero reserved field
+/// (offsets 92 and 100, docs/collector.md).
 std::vector<std::pair<std::string, std::string>> rejected_streams() {
   const auto v3 = [](const EpochReport& report) {
     std::stringstream buf;
@@ -140,14 +138,18 @@ std::vector<std::pair<std::string, std::string>> rejected_streams() {
   negative_total.totals.bytes = -20.0;
   auto infinite_base = make_report(1, 1.05, {{2, 20.0, 1.0}});
   infinite_base.size_b = inf;
-  auto nan_unit = make_additive_report(1, 4.0, {{2, 20.0, 1.0}});
-  nan_unit.volume_error_unit = nan;
+  const auto reserved = [&v3](std::size_t offset, double value) {
+    std::string bytes = v3(make_report(1, 1.05, {{2, 20.0, 1.0}}));
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
   return {
       {"NaN flow bytes", v3(make_report(1, 1.05, {{2, nan, 1.0}}))},
       {"negative flow packets", v3(make_report(1, 1.05, {{2, 20.0, -1.0}}))},
       {"negative total", v3(negative_total)},
       {"infinite base", v3(infinite_base)},
-      {"NaN error unit", v3(nan_unit)},
+      {"NaN reserved field at 92", reserved(92, nan)},
+      {"nonzero reserved field at 100", reserved(100, 4.0)},
       {"v1 record", legacy(1)},
       {"v2 record", legacy(2)},
       {"version-4 header", v4},
@@ -362,28 +364,6 @@ TEST(Collector, ReportsWithoutErrorMetadataInvalidateInterval) {
   EXPECT_FALSE(collector.top_k(1)[0].interval_valid);
 }
 
-TEST(Collector, MixedDiscoAndAdditiveSitesMerge) {
-  Collector collector;
-  (void)collector.ingest(0, make_report(0, 1.05, {{1, 1000.0, 10.0}}));
-  (void)collector.ingest(1, make_additive_report(0, 4.0, {{1, 1000.0, 10.0}}));
-  collector.finalize_all();
-
-  const auto top = collector.top_k(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_DOUBLE_EQ(top[0].bytes, 2000.0);
-  EXPECT_TRUE(top[0].interval_valid);
-  EXPECT_EQ(top[0].sites, 2u);
-
-  // The additive site's contribution uses sd = unit*sqrt(roundings)/2 with
-  // roundings = round(packets); the DISCO site's uses e*est.
-  const double e = core::theory::cv_bound(1.05);
-  const double sd = core::theory::additive_error_sd(4.0, 10);
-  const double z = core::theory::normal_quantile(0.5 + 0.95 / 2.0);
-  const double half =
-      z * std::sqrt(e * e * 1000.0 * 1000.0 + sd * sd);
-  EXPECT_NEAR(top[0].bytes_high - top[0].bytes, half, 1e-9 * half);
-}
-
 TEST(Collector, PressureReconciliationSumsLatestPerSite) {
   Collector collector;
   auto a0 = make_report(0, 1.05, {{1, 1.0, 1.0}});
@@ -575,6 +555,16 @@ std::string serialized(const EpochReport& report, std::uint32_t site_id) {
   return buf.str();
 }
 
+/// Report `epoch` of the four-report streams the transport tests send: the
+/// flows of epochs 0, 2 and 3 sum to 140 bytes, and only epoch 3 carries
+/// flow 7.
+EpochReport stream_report(std::uint64_t epoch) {
+  const std::uint32_t id = epoch == 3 ? 7 : 1;
+  const double bytes =
+      epoch == 3 ? 100.0 : 10.0 * static_cast<double>(epoch + 1);
+  return make_report(epoch, 1.05, {{id, bytes, 1.0}});
+}
+
 TEST(SpoolSource, TornTailFreezesOffsetThenResumes) {
   TempFile spool("collect_spool_torn.bin");
   const std::string first = serialized(make_report(0, 1.05, {{1, 10.0, 1.0}}), 0);
@@ -609,14 +599,10 @@ TEST(SpoolSource, RejectedReportIsSkippedNotTreatedAsTornTail) {
   // once, skips exactly those bytes, and still delivers report 4 (a torn
   // tail would have frozen the file before report 2 forever).
   TempFile spool("collect_spool_rejected.bin");
-  const double nan = std::nan("");
   for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
-    const std::uint32_t id = epoch == 3 ? 7 : 1;
-    const double bytes = epoch == 1   ? nan
-                         : epoch == 3 ? 100.0
-                                      : 10.0 * static_cast<double>(epoch + 1);
-    append_bytes(spool.path(),
-                 serialized(make_report(epoch, 1.05, {{id, bytes, 1.0}}), 0));
+    EpochReport report = stream_report(epoch);
+    if (epoch == 1) report.flows[0].bytes = std::nan("");
+    append_bytes(spool.path(), serialized(report, 0));
   }
   Collector collector;
   SpoolSource source({spool.path()});
@@ -784,6 +770,90 @@ TEST(SocketTransport, ClientServerRoundTrip) {
     EXPECT_EQ(site.late, 0u) << site.site_id;
     EXPECT_EQ(site.duplicates, 0u) << site.site_id;
   }
+}
+
+/// Starts a loopback server, lets `send` stream four reports from site 0
+/// whose second is malformed, and checks that the server skipped exactly
+/// that report and kept reading the connection.
+void expect_second_report_skipped(
+    const std::function<void(std::uint16_t port)>& send) {
+  Collector collector;
+  std::unique_ptr<ReportServer> server;
+  try {
+    server = std::make_unique<ReportServer>(collector);
+  } catch (const std::runtime_error& e) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << e.what();
+  }
+  send(server->port());
+  for (int spins = 0; spins < 1000; ++spins) {
+    {
+      util::MutexLock lock(server->ingest_mutex());
+      if (collector.reports_ingested() + server->rejected_reports() >= 4) {
+        break;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server->stop();
+  EXPECT_EQ(server->connections_accepted(), 1u);
+  EXPECT_EQ(server->rejected_reports(), 1u);
+  EXPECT_EQ(server->truncated_streams(), 0u);
+
+  collector.finalize_all();
+  EXPECT_EQ(collector.reports_ingested(), 3u);
+  EXPECT_DOUBLE_EQ(collector.totals().bytes, 10.0 + 30.0 + 100.0);
+  const auto top = collector.top_k(1);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].flow, tuple(7));  // report 4's flow arrived
+}
+
+TEST(SocketTransport, RejectedReportIsSkippedConnectionKeepsReading) {
+  // One client, four reports, the second with a NaN flow: the server
+  // counts it as rejected (not as a torn stream) and ingests the rest.
+  expect_second_report_skipped([](std::uint16_t port) {
+    ReportClient client("127.0.0.1", port);
+    for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
+      EpochReport report = stream_report(epoch);
+      if (epoch == 1) report.flows[0].bytes = std::nan("");
+      client.send(report, 0);
+    }
+  });
+}
+
+TEST(SocketTransport, NonzeroReservedFieldIsSkippedConnectionKeepsReading) {
+  // The same stream as raw bytes, the second report carrying 1.0 in the
+  // reserved field at offset 92 -- a frame ReportClient cannot produce.
+  expect_second_report_skipped([](std::uint16_t port) {
+    std::string bytes;
+    for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
+      std::string frame = serialized(stream_report(epoch), 0);
+      if (epoch == 1) {
+        const double one = 1.0;
+        std::memcpy(frame.data() + 92, &one, sizeof(one));
+      }
+      bytes += frame;
+    }
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      std::size_t sent = 0;
+      while (sent < bytes.size()) {
+        const ssize_t n =
+            ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+        if (n <= 0) break;
+        sent += static_cast<std::size_t>(n);
+      }
+      EXPECT_EQ(sent, bytes.size());
+    } else {
+      ADD_FAILURE() << "connect failed";
+    }
+    ::close(fd);
+  });
 }
 
 TEST(SocketTransport, StopCutsLiveConnectionsCleanly) {

@@ -1,14 +1,14 @@
 // Statistical regression suite for the cross-site merge (src/collect).
 //
-// A fleet of REAL monitors -- heterogeneous counter widths (so each site
-// runs a different effective base b) plus an additive-error site -- splits
-// one deterministic workload; the Collector merges their epoch reports.
+// A fleet of REAL monitors -- three counter widths, so each site runs a
+// different effective base b -- splits one deterministic workload; the
+// Collector merges their epoch reports.
 // The suite pins the two properties the aggregation tier sells:
 //
 //   * unbiasedness survives the merge: the mean signed error of the merged
 //     global estimate across seeded trials is zero within 3 standard
 //     errors (Theorem 1 is per-update, and summing unbiased estimators
-//     with ANY mix of error models stays unbiased);
+//     with ANY mix of bases stays unbiased);
 //   * the aggregate intervals are honest: Theorem-2 confidence intervals
 //     on merged totals and merged top-k flows cover the exact ground truth
 //     at no less than ~the nominal rate (the variance bound is
@@ -47,8 +47,8 @@ double true_total_bytes() {
   return total;
 }
 
-/// One heterogeneous fleet trial: three sites with different error models
-/// split every flow's packets round-robin, rotate, and merge.
+/// One heterogeneous fleet trial: three sites with different bases split
+/// every flow's packets round-robin, rotate, and merge.
 Collector::GlobalTotals run_trial(int trial, std::vector<GlobalEstimate>* top,
                                   double confidence = 0.95) {
   flowtable::FlowMonitor::Config wide;   // fine-grained DISCO counters
@@ -58,16 +58,16 @@ Collector::GlobalTotals run_trial(int trial, std::vector<GlobalEstimate>* top,
   wide.max_flow_packets = 1 << 16;
   flowtable::FlowMonitor::Config narrow = wide;  // coarser: larger b
   narrow.counter_bits = 9;
-  flowtable::FlowMonitor::Config additive = wide;  // different model entirely
-  additive.estimator = flowtable::EstimatorKind::AdditiveError;
+  flowtable::FlowMonitor::Config middle = wide;  // a third base, in between
+  middle.counter_bits = 10;
 
   std::vector<flowtable::FlowMonitor> sites;
   wide.seed = static_cast<std::uint64_t>(trial) * 1009 + 1;
   narrow.seed = static_cast<std::uint64_t>(trial) * 1009 + 2;
-  additive.seed = static_cast<std::uint64_t>(trial) * 1009 + 3;
+  middle.seed = static_cast<std::uint64_t>(trial) * 1009 + 3;
   sites.emplace_back(wide);
   sites.emplace_back(narrow);
-  sites.emplace_back(additive);
+  sites.emplace_back(middle);
 
   for (std::uint32_t i = 0; i < kFlows; ++i) {
     const std::uint64_t packets = true_packets(i);

@@ -248,16 +248,6 @@ TEST(FlowMonitorTopK, MatchesOracleUnderDisco) {
   expect_top_k_matches_oracle(monitor);
 }
 
-TEST(FlowMonitorTopK, MatchesOracleUnderAdditiveError) {
-  FlowMonitor::Config config = small_config();
-  config.estimator = EstimatorKind::AdditiveError;
-  config.counter_bits = 10;  // narrow enough that the array scales up
-  FlowMonitor monitor(config);
-  feed_with_ties(monitor, 2);
-  EXPECT_GT(monitor.pressure().rescale_events, 0u);
-  expect_top_k_matches_oracle(monitor);
-}
-
 TEST(FlowMonitorTopK, MatchesOracleAfterMidEpochRescaleB) {
   FlowMonitor::Config config = small_config();
   config.counter_bits = 8;

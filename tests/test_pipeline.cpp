@@ -610,40 +610,13 @@ std::vector<std::pair<FiveTuple, std::uint32_t>> tied_trace(std::uint64_t seed) 
   return trace;
 }
 
-TEST(PipelineMonitor, TopKMatchesOneFlowMonitorOnSameBursts) {
-  // Additive-error counters at scale 0 count exactly, so one FlowMonitor
-  // fed the same packets holds the same estimates however the pipeline
-  // shards them -- ties included, which the merge must break by tuple.
-  const auto trace = tied_trace(31);
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    SCOPED_TRACE(workers);
-    auto config = pipeline_config(workers, 1);
-    config.base.estimator = flowtable::EstimatorKind::AdditiveError;
-    config.base.counter_bits = 32;
-    config.telemetry_prefix = "pipeline_topk_" + std::to_string(workers);
-    FlowMonitor::Config single = config.base;
-    single.telemetry_prefix = "pipeline_topk_single";
-    FlowMonitor reference(single);
-    PipelineMonitor pipeline(config);
-    for (const auto& [flow, len] : trace) {
-      ASSERT_TRUE(reference.ingest(flow, len));
-      ASSERT_TRUE(pipeline.ingest(0, flow, len));
-    }
-    pipeline.drain();
-    EXPECT_EQ(reference.pressure().rescale_events, 0u);
-    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
-                                std::size_t{25}, std::size_t{240},
-                                std::size_t{500}}) {
-      SCOPED_TRACE(k);
-      expect_same_rows(pipeline.top_k(k), reference.top_k(k));
-    }
-  }
-}
-
 TEST(PipelineMonitor, TopKMatchesPerShardOracleUnderDisco) {
   // DISCO shards draw from their own RNG streams, so the reference is one
   // FlowMonitor per shard (as in EstimateParityWithFlowMonitor); the oracle
-  // estimates every flow of every shard and sorts them all.
+  // estimates every flow of every shard and sorts them all.  Shards share
+  // one base b, so equal counters on different workers are equal
+  // estimates: the planted ties span workers, and the merge must break
+  // them by tuple.
   const auto trace = tied_trace(32);
   for (const unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE(workers);
@@ -669,8 +642,21 @@ TEST(PipelineMonitor, TopKMatchesPerShardOracleUnderDisco) {
       });
     }
     std::sort(all.begin(), all.end(), ranks_ahead);
+    // The first tie between flows of different workers; k = cut splits it
+    // and k = cut + 1 takes both sides.
+    std::size_t cut = 0;
+    for (std::size_t i = 1; i < all.size() && cut == 0; ++i) {
+      if (all[i].bytes == all[i - 1].bytes &&
+          PipelineMonitor::worker_of(all[i].flow, workers) !=
+              PipelineMonitor::worker_of(all[i - 1].flow, workers)) {
+        cut = i;
+      }
+    }
+    if (workers > 1) {
+      ASSERT_GT(cut, 0u) << "no tie spans two workers";
+    }
     for (const std::size_t k : {std::size_t{0}, std::size_t{1},
-                                std::size_t{25}, all.size(),
+                                std::size_t{25}, cut, cut + 1, all.size(),
                                 all.size() + 5}) {
       SCOPED_TRACE(k);
       std::vector<FlowMonitor::FlowEstimate> expected(

@@ -221,14 +221,6 @@ def main() -> int:
     }
     if not args.skip_pipeline:
         doc["pipeline"] = run_pipeline(args.build_dir, args.scale)
-        # Headline derived metric: worst-case ingest overhead of running the
-        # full analysis-module set on every rotation (see docs/modules.md and
-        # the module-overhead section in EXPERIMENTS.md).
-        overheads = [row["overhead"]
-                     for row in doc["pipeline"].get("modules", [])
-                     if "overhead" in row]
-        if overheads:
-            doc["module_overhead_max"] = round(max(overheads), 4)
     if not args.skip_pressure:
         doc["pressure_ablation"] = run_pressure(args.build_dir, args.scale)
     if not args.skip_collector:

@@ -254,6 +254,11 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
       server.stop();
+      std::cerr << "connections: " << server.connections_accepted()
+                << " accepted, " << server.truncated_streams()
+                << " ended mid-report (torn tail discarded), "
+                << server.rejected_reports()
+                << " report(s) rejected as malformed (skipped)\n";
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 1;

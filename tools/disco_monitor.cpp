@@ -16,7 +16,6 @@
 //                      (default 1)
 //   --epochs E         measurement intervals / rotations (default 3)
 //   --bits B           counter bits per flow (default 12)
-//   --estimator disco|additive   counter family (default disco)
 //   --max-flows M      monitor table capacity (default 4096)
 //
 // This is the producer half of the multi-process convergence soak suite
@@ -48,7 +47,7 @@ namespace {
   std::cerr << "usage: disco_monitor --site I --sites N"
                " (--spool PATH | --connect HOST:PORT) [--flows F]"
                " [--alpha A] [--seed S] [--epochs E] [--bits B]"
-               " [--estimator disco|additive] [--max-flows M]\n";
+               " [--max-flows M]\n";
   std::exit(2);
 }
 
@@ -76,7 +75,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint32_t epochs = 3;
   int bits = 12;
-  bool additive = false;
   std::size_t max_flows = 4096;
 
   for (int i = 1; i < argc; ++i) {
@@ -94,12 +92,6 @@ int main(int argc, char** argv) {
     else if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(value().c_str()));
     else if (arg == "--epochs") epochs = static_cast<std::uint32_t>(std::atoll(value().c_str()));
     else if (arg == "--bits") bits = std::atoi(value().c_str());
-    else if (arg == "--estimator") {
-      const std::string kind = value();
-      if (kind == "disco") additive = false;
-      else if (kind == "additive") additive = true;
-      else usage("unknown estimator (expected disco|additive)");
-    }
     else if (arg == "--max-flows") max_flows = static_cast<std::size_t>(std::atoll(value().c_str()));
     else usage(("unknown option: " + arg).c_str());
   }
@@ -123,8 +115,6 @@ int main(int argc, char** argv) {
   config.max_flows = max_flows;
   config.counter_bits = bits;
   config.seed = seed * 7919 + static_cast<std::uint64_t>(site) + 1;
-  config.estimator = additive ? flowtable::EstimatorKind::AdditiveError
-                              : flowtable::EstimatorKind::Disco;
   config.telemetry_prefix = "site_" + std::to_string(site);
   flowtable::FlowMonitor monitor(config);
 

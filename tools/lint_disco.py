@@ -141,12 +141,6 @@ RNG_ALLOWED: Dict[str, Set[str]] = {
     # stream -- confining the draws to these two cold-path functions is what
     # keeps the Drop default bit-identical to pre-policy builds.
     "src/flowtable/monitor.cpp": {"admit_under_pressure", "select_victim"},
-    # Additive-error counters (core/additive.hpp): the grid rounding in
-    # add() is the family's one-draw-per-update site; halve_all/shift_down/
-    # merge are the cold-path unbiased remaps (the additive analogue of
-    # RescaleB's randomized rounding).
-    "src/core/additive.hpp": {"add"},
-    "src/core/additive.cpp": {"halve_all", "shift_down", "merge"},
 }
 RNG_DRAW_RE = re.compile(
     r"\b(\w*[Rr]ng\w*)\s*(?:\.|->)\s*"
